@@ -20,6 +20,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from .baselines import appgrad_config, cca_closed_form, men_cca_mode
 from .core import (
     Hyperparams,
@@ -615,6 +617,10 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES[FileNotFoundError]
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, but a numeric failure, not bad configuration
+        print(f"error: numeric failure: {exc}", file=sys.stderr)
+        return EXIT_CODES[NonFiniteIterate]
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES[ConfigError]

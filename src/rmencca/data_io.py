@@ -11,6 +11,7 @@ External formats:
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -250,8 +251,14 @@ def _read_exact(fh, size: int, what: str) -> bytes:
 
 def _read_matrix(fh, what: str) -> np.ndarray:
     r, c = struct.unpack("<QQ", _read_exact(fh, 16, what + " shape"))
-    if r > 1 << 40 or c > 1 << 40:
-        raise CorruptFile(f"implausible {what} shape {r} x {c}")
+    # a declared shape is trusted only as far as the file can back it, so a
+    # corrupted header cannot make the reader allocate beyond the file size
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if 8 * r * c > left:
+        raise CorruptFile(
+            f"implausible {what} shape {r} x {c}: needs {8 * r * c} bytes, "
+            f"{left} left in the file"
+        )
     buf = _read_exact(fh, 8 * r * c, what)
     return np.frombuffer(buf, dtype="<f8").reshape(r, c).copy()
 

@@ -1,17 +1,26 @@
-"""Momentum gradient solver with SVD whitening.
+"""Momentum gradient solver with exact whitening, over second-moment statistics.
 
-One iteration, given the current true pair (U, V):
+Every per-iteration quantity is a function of the second moments
+Cxx = XX^T/n, Cyy = YY^T/n, Cxy = XY^T/n and of the current pair (U, V), so
+a fit forms the statistics once (one O(n d^2) pass) and each iteration then
+costs O(d^2 k), independent of n.  One iteration, given the current true
+pair:
 
-  1. factor the S-inverse operator from the projections X^T U, Y^T V
-  2. build the half-quadratic diagonals P (from U) and Q (from V)
-  3. gradient step on the unnormalized U-tilde, then whiten against XX^T/n
+  1. see the pair through the statistics: Cxx U, Cxy V, Cyx U, Cyy V and the
+     2k x 2k Gram of Z = [X^T U  Y^T V] (pair_moments)
+  2. factor the S-inverse operator from an eigh of that Gram, and build the
+     half-quadratic diagonals P (from U) and Q (from V) (build_context)
+  3. gradient step on the unnormalized U-tilde, then whiten against Cxx
   4. gradient step on V-tilde using the freshly whitened U, whiten against
-     YY^T/n
+     Cyy
+  5. the objective at the new pair, from its pair moments, which the next
+     iteration's context reuses
 
-The stochastic variant draws a fresh sample subset each iteration and
-computes every per-iteration quantity (gradients, S-inverse, whitening
-covariances, objective) from the minibatch with 1/m scaling, then restores
-the exact full-batch whitening constraints once at the end.
+The stochastic variant draws a fresh sample subset each iteration, forms the
+subset's statistics (with 1/m scaling) and runs the same iteration on them,
+then restores the exact full-batch whitening constraints once at the end.
+The kernel fit runs the full-batch iteration on the statistics of its Gram
+matrices.
 """
 from __future__ import annotations
 
@@ -28,125 +37,190 @@ from .core import (
     SolverState,
     Termination,
     TwoViewDataset,
-    ViewMatrix,
     validate_dataset,
 )
 from .errors import AllZeroInput, DimensionMismatch, NonFiniteIterate
-from .regularizers import (
+from .regularizers import (  # noqa: F401  nuclear_norm: see below
     HQDiagonal,
     SInverseOperator,
     apply_s_inverse,
     build_s_inverse,
+    gram_nuclear_norm,
     hq_diagonal,
     l21_norm,
     nuclear_norm,
 )
 
+# nuclear_norm is not called here (the objective takes the nuclear norm from
+# the Gram); it stays bound because tracing tools such as perfbench/spans.py
+# wrap this module's regularizer bindings by name.
+
 _CONVERGENCE_WINDOW = 5
 
 
 @dataclass(frozen=True, eq=False)
-class IterationContext:
-    """Per-iteration quantities frozen from the current true pair."""
+class SecondMoments:
+    """Second-moment statistics of n paired samples: cxx = XX^T/n (d1 x d1),
+    cyy = YY^T/n (d2 x d2), cxy = XY^T/n (d1 x d2)."""
 
-    s_inv: SInverseOperator
+    cxx: np.ndarray
+    cyy: np.ndarray
+    cxy: np.ndarray
+    n: int
+
+
+@dataclass(frozen=True, eq=False)
+class PairMoments:
+    """A pair (U, V) seen through the second moments of n samples.
+
+    cxx_u = Cxx U, cxy_v = Cxy V, cyx_u = Cyx U, cyy_v = Cyy V, and gram is
+    Z^T Z / n for Z = [X^T U  Y^T V], i.e.
+    [[U^T Cxx U, U^T Cxy V], [V^T Cyx U, V^T Cyy V]].  None of them has a
+    dimension of length n.
+    """
+
+    pair: CanonicalPair
+    cxx_u: np.ndarray
+    cxy_v: np.ndarray
+    cyx_u: np.ndarray
+    cyy_v: np.ndarray
+    gram: np.ndarray
+    n: int
+
+
+@dataclass(frozen=True, eq=False)
+class IterationContext:
+    """Per-iteration quantities frozen from the current true pair.
+
+    s_inv_x and s_inv_y apply X S^-1 X^T and Y S^-1 Y^T; they are None when
+    lambda2 = 0.
+    """
+
+    s_inv_x: SInverseOperator | None
+    s_inv_y: SInverseOperator | None
     p: HQDiagonal
     q: HQDiagonal
-    cov_x: np.ndarray
-    cov_y: np.ndarray
 
 
-def build_context(
-    ds: TwoViewDataset,
-    pair: CanonicalPair,
-    hp: Hyperparams,
-    cov_x: np.ndarray | None = None,
-    cov_y: np.ndarray | None = None,
-) -> IterationContext:
-    """Freeze S^-1, P, Q, and the whitening covariances for one iteration.
+def second_moments(x: np.ndarray, y: np.ndarray) -> SecondMoments:
+    """Statistics of two views stored features x samples (d x n)."""
+    n = x.shape[1]
+    # in-place scaling: no second d x d temporary, which matters for the
+    # n x n "views" of a kernel fit
+    cxx = x @ x.T
+    cxx /= n
+    cyy = y @ y.T
+    cyy /= n
+    cxy = x @ y.T
+    cxy /= n
+    return SecondMoments(cxx=cxx, cyy=cyy, cxy=cxy, n=n)
 
-    `ds` is the minibatch in stochastic mode; precomputed covariances may be
-    passed in to avoid recomputation in full-batch mode.
+
+def pair_moments(stats: SecondMoments, pair: CanonicalPair) -> PairMoments:
+    """Cxx U, Cxy V, Cyx U, Cyy V and the scaled Gram of [X^T U  Y^T V]."""
+    u, v = pair.u, pair.v
+    if u.shape[0] != stats.cxx.shape[0] or v.shape[0] != stats.cyy.shape[0]:
+        raise DimensionMismatch(
+            f"pair shapes {u.shape}/{v.shape} do not fit views "
+            f"d1={stats.cxx.shape[0]}, d2={stats.cyy.shape[0]}"
+        )
+    cxx_u = stats.cxx @ u
+    cxy_v = stats.cxy @ v
+    cyx_u = stats.cxy.T @ u
+    cyy_v = stats.cyy @ v
+    gram = np.block([[u.T @ cxx_u, u.T @ cxy_v], [v.T @ cyx_u, v.T @ cyy_v]])
+    return PairMoments(
+        pair=pair, cxx_u=cxx_u, cxy_v=cxy_v, cyx_u=cyx_u, cyy_v=cyy_v,
+        gram=0.5 * (gram + gram.T), n=stats.n,
+    )
+
+
+def build_context(pm: PairMoments, hp: Hyperparams) -> IterationContext:
+    """Freeze S^-1, P and Q at the pair of `pm` for one iteration.
+
+    With Z = [X^T U  Y^T V], the S-inverse is factored from the Gram Z^T Z
+    and built on the images X Z = n [Cxx U, Cxy V] and Y Z = n [Cyx U, Cyy V],
+    so its bases are X Phi and Y Phi.
     """
-    x, y = ds.x.data, ds.y.data
-    n = ds.n
-    if cov_x is None:
-        cov_x = x @ x.T / n
-    if cov_y is None:
-        cov_y = y @ y.T / n
-    s_inv = build_s_inverse(x.T @ pair.u, y.T @ pair.v, hp.zeta)
+    pair = pm.pair
+    s_inv_x = s_inv_y = None
+    if hp.lambda2 != 0.0:
+        gram = pm.n * pm.gram
+        s_inv_x = build_s_inverse(pm.n * pm.cxx_u, pm.n * pm.cxy_v, hp.zeta, gram)
+        s_inv_y = build_s_inverse(pm.n * pm.cyx_u, pm.n * pm.cyy_v, hp.zeta, gram)
     if hp.penalty is Penalty.L21:
         p = hq_diagonal(pair.u, hp.zeta)
         q = hq_diagonal(pair.v, hp.zeta)
     else:
-        p = HQDiagonal(weights=np.ones(ds.x.d), zeta=hp.zeta)
-        q = HQDiagonal(weights=np.ones(ds.y.d), zeta=hp.zeta)
-    return IterationContext(s_inv=s_inv, p=p, q=q, cov_x=cov_x, cov_y=cov_y)
+        p = HQDiagonal(weights=np.ones(pair.u.shape[0]), zeta=hp.zeta)
+        q = HQDiagonal(weights=np.ones(pair.v.shape[0]), zeta=hp.zeta)
+    return IterationContext(s_inv_x=s_inv_x, s_inv_y=s_inv_y, p=p, q=q)
 
 
-def objective(ds: TwoViewDataset, pair: CanonicalPair, hp: Hyperparams) -> float:
-    """Full objective with the true (non-surrogate) norms:
+def objective(pm: PairMoments, hp: Hyperparams) -> float:
+    """Full objective at the pair of `pm`, with the true (non-surrogate) norms:
 
     (1/2n) ||X^T U - Y^T V||_F^2 + lambda1 (||U||_21 + ||V||_21)
                                  + lambda2 ||[X^T U  Y^T V]||_*
 
-    In Frobenius penalty mode the lambda1 term is ||U||_F^2 + ||V||_F^2.
+    The fit term is (1/2)(tr U^T Cxx U + tr V^T Cyy V - 2 tr U^T Cxy V) and
+    the nuclear norm comes from the Gram of [X^T U  Y^T V].  In Frobenius
+    penalty mode the lambda1 term is ||U||_F^2 + ||V||_F^2.
     """
-    if pair.u.shape[0] != ds.x.d or pair.v.shape[0] != ds.y.d:
-        raise DimensionMismatch(
-            f"pair shapes {pair.u.shape}/{pair.v.shape} do not fit views "
-            f"d1={ds.x.d}, d2={ds.y.d}"
-        )
-    a = ds.x.data.T @ pair.u
-    b = ds.y.data.T @ pair.v
-    diff = a - b
-    val = 0.5 / ds.n * float((diff * diff).sum())
+    u, v = pm.pair.u, pm.pair.v
+    k = u.shape[1]
+    g = pm.gram
+    val = 0.5 * float(np.trace(g[:k, :k]) + np.trace(g[k:, k:]) - 2.0 * np.trace(g[:k, k:]))
     if hp.lambda1 != 0.0:
         if hp.penalty is Penalty.L21:
-            val += hp.lambda1 * (l21_norm(pair.u) + l21_norm(pair.v))
+            val += hp.lambda1 * (l21_norm(u) + l21_norm(v))
         else:
-            val += hp.lambda1 * float((pair.u * pair.u).sum()
-                                      + (pair.v * pair.v).sum())
+            val += hp.lambda1 * float((u * u).sum() + (v * v).sum())
     if hp.lambda2 != 0.0:
-        val += hp.lambda2 * nuclear_norm(np.concatenate([a, b], axis=1))
+        val += hp.lambda2 * gram_nuclear_norm(pm.n * g)
     return val
 
 
 def grad_u(
-    ds: TwoViewDataset,
+    stats: SecondMoments,
     state: SolverState,
     ctx: IterationContext,
     hp: Hyperparams,
 ) -> np.ndarray:
-    """(1/n) X (X^T U~ - Y^T V) + lambda1 P U~ + lambda2 X S^-1 X^T U~."""
-    x, y = ds.x.data, ds.y.data
+    """Cxx U~ - Cxy V + lambda1 P U~ + lambda2 X S^-1 X^T U~, where
+    X S^-1 X^T U~ = zeta^(-1/2) n Cxx U~ + X Phi D (X Phi)^T U~."""
     ut = state.u_tilde
-    if ut.shape[0] != ds.x.d:
-        raise DimensionMismatch(f"u_tilde has {ut.shape[0]} rows, view x has {ds.x.d}")
-    g = ctx.cov_x @ ut - x @ (y.T @ state.pair.v) / ds.n
+    if ut.shape[0] != stats.cxx.shape[0]:
+        raise DimensionMismatch(
+            f"u_tilde has {ut.shape[0]} rows, view x has {stats.cxx.shape[0]}"
+        )
+    cxx_ut = stats.cxx @ ut
+    g = cxx_ut - stats.cxy @ state.pair.v
     if hp.lambda1 != 0.0:
         g = g + hp.lambda1 * ctx.p.weights[:, None] * ut
     if hp.lambda2 != 0.0:
-        g = g + hp.lambda2 * (x @ apply_s_inverse(ctx.s_inv, x.T @ ut))
+        g = g + hp.lambda2 * apply_s_inverse(ctx.s_inv_x, ut, stats.n * cxx_ut)
     return g
 
 
 def grad_v(
-    ds: TwoViewDataset,
+    stats: SecondMoments,
     state: SolverState,
     ctx: IterationContext,
     hp: Hyperparams,
 ) -> np.ndarray:
     """Mirror of grad_u; the residual uses the freshly updated U in state.pair."""
-    x, y = ds.x.data, ds.y.data
     vt = state.v_tilde
-    if vt.shape[0] != ds.y.d:
-        raise DimensionMismatch(f"v_tilde has {vt.shape[0]} rows, view y has {ds.y.d}")
-    g = ctx.cov_y @ vt - y @ (x.T @ state.pair.u) / ds.n
+    if vt.shape[0] != stats.cyy.shape[0]:
+        raise DimensionMismatch(
+            f"v_tilde has {vt.shape[0]} rows, view y has {stats.cyy.shape[0]}"
+        )
+    cyy_vt = stats.cyy @ vt
+    g = cyy_vt - stats.cxy.T @ state.pair.u
     if hp.lambda1 != 0.0:
         g = g + hp.lambda1 * ctx.q.weights[:, None] * vt
     if hp.lambda2 != 0.0:
-        g = g + hp.lambda2 * (y @ apply_s_inverse(ctx.s_inv, y.T @ vt))
+        g = g + hp.lambda2 * apply_s_inverse(ctx.s_inv_y, vt, stats.n * cyy_vt)
     return g
 
 
@@ -230,16 +304,15 @@ def _fit(ds, hp, stochastic, on_iteration):
     # orders of magnitude under the 1e-8 * k budget
     zw = hp.zeta * 1e-6
 
-    with np.errstate(over="ignore"):
-        cov_x_full = x @ x.T / n
-        cov_y_full = y @ y.T / n
-    if not (np.isfinite(cov_x_full).all() and np.isfinite(cov_y_full).all()):
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = second_moments(x, y)
+    if not all(np.isfinite(c).all() for c in (full.cxx, full.cyy, full.cxy)):
         raise NonFiniteIterate(
             "view covariance overflowed double precision; rescale the inputs"
         )
     u0 = rng.standard_normal((d1, k))
     v0 = rng.standard_normal((d2, k))
-    pair = CanonicalPair(u=_whiten(u0, cov_x_full, zw), v=_whiten(v0, cov_y_full, zw))
+    pair = CanonicalPair(u=_whiten(u0, full.cxx, zw), v=_whiten(v0, full.cyy, zw))
     state = SolverState(
         u_tilde=np.zeros((d1, k)),
         v_tilde=np.zeros((d2, k)),
@@ -248,36 +321,33 @@ def _fit(ds, hp, stochastic, on_iteration):
         pair=pair,
     )
     termination = Termination.MAX_ITERS
+    stats = full
+    pm = pair_moments(stats, state.pair)
 
     for it in range(1, hp.max_iters + 1):
         if subsample:
             idx = np.sort(rng.choice(n, size=m, replace=False))
-            batch = TwoViewDataset(
-                x=ViewMatrix(x[:, idx], ds.x.feature_means, ds.x.centered),
-                y=ViewMatrix(y[:, idx], ds.y.feature_means, ds.y.centered),
-            )
-            cov_x = batch.x.data @ batch.x.data.T / m
-            cov_y = batch.y.data @ batch.y.data.T / m
-        else:
-            batch = ds
-            cov_x, cov_y = cov_x_full, cov_y_full
+            stats = second_moments(x[:, idx], y[:, idx])
+            pm = pair_moments(stats, state.pair)
 
-        ctx = build_context(batch, state.pair, hp, cov_x=cov_x, cov_y=cov_y)
+        ctx = build_context(pm, hp)
 
-        gu = grad_u(batch, state, ctx, hp)
+        gu = grad_u(stats, state, ctx, hp)
         state.u_tilde, state.delta_u = momentum_step(state.u_tilde, state.delta_u, gu, hp)
         if not np.isfinite(state.u_tilde).all():
             raise NonFiniteIterate("U update produced non-finite values; reduce eta")
-        state.pair = CanonicalPair(u=_whiten(state.u_tilde, cov_x, zw), v=state.pair.v)
+        state.pair = CanonicalPair(u=_whiten(state.u_tilde, stats.cxx, zw), v=state.pair.v)
 
-        gv = grad_v(batch, state, ctx, hp)
+        gv = grad_v(stats, state, ctx, hp)
         state.v_tilde, state.delta_v = momentum_step(state.v_tilde, state.delta_v, gv, hp)
         if not np.isfinite(state.v_tilde).all():
             raise NonFiniteIterate("V update produced non-finite values; reduce eta")
-        state.pair = CanonicalPair(u=state.pair.u, v=_whiten(state.v_tilde, cov_y, zw))
+        state.pair = CanonicalPair(u=state.pair.u, v=_whiten(state.v_tilde, stats.cyy, zw))
         state.iter = it
 
-        obj = objective(batch, state.pair, hp)
+        # the next iteration's context starts from these moments (full batch)
+        pm = pair_moments(stats, state.pair)
+        obj = objective(pm, hp)
         if not np.isfinite(obj):
             raise NonFiniteIterate("objective became non-finite; reduce eta")
         state.objective_trace.append(obj)
@@ -296,13 +366,13 @@ def _fit(ds, hp, stochastic, on_iteration):
         # the loop whitened against minibatch covariances; restore the exact
         # full-batch constraints
         state.pair = CanonicalPair(
-            u=_whiten(state.u_tilde, cov_x_full, zw),
-            v=_whiten(state.v_tilde, cov_y_full, zw),
+            u=_whiten(state.u_tilde, full.cxx, zw),
+            v=_whiten(state.v_tilde, full.cyy, zw),
         )
 
     ek = np.eye(k)
-    res_u = float(np.linalg.norm(state.pair.u.T @ cov_x_full @ state.pair.u - ek))
-    res_v = float(np.linalg.norm(state.pair.v.T @ cov_y_full @ state.pair.v - ek))
+    res_u = float(np.linalg.norm(state.pair.u.T @ full.cxx @ state.pair.u - ek))
+    res_v = float(np.linalg.norm(state.pair.v.T @ full.cyy @ state.pair.v - ek))
     return FitReport(
         pair=state.pair,
         iterations_run=state.iter,

@@ -82,13 +82,14 @@ def test_gradients_match_finite_differences_on_twenty_instances():
         k = int(rng.integers(1, 4))
         x = rng.standard_normal((d1, n))
         y = rng.standard_normal((d2, n))
-        ds = r.TwoViewDataset(x=r.ViewMatrix.of(x), y=r.ViewMatrix.of(y))
         hp = r.Hyperparams(k=k, lambda1=0.3, lambda2=0.2, zeta=1e-4, eta=0.01)
         pair = r.CanonicalPair(
             u=r.normalize(rng.standard_normal((d1, k)), x @ x.T / n, 0.0),
             v=r.normalize(rng.standard_normal((d2, k)), y @ y.T / n, 0.0),
         )
-        ctx = r.build_context(ds, pair, hp)
+        stats = r.second_moments(x, y)
+        ctx = r.build_context(r.pair_moments(stats, pair), hp)
+        s_inv = r.build_s_inverse(x.T @ pair.u, y.T @ pair.v, hp.zeta)
         state = r.SolverState(
             u_tilde=rng.standard_normal((d1, k)),
             v_tilde=rng.standard_normal((d2, k)),
@@ -102,12 +103,12 @@ def test_gradients_match_finite_differences_on_twenty_instances():
             diff = proj - partner_proj
             val = 0.5 / n * float((diff * diff).sum())
             val += 0.5 * hp.lambda1 * float((weights * (tilde * tilde).sum(axis=1)).sum())
-            val += 0.5 * hp.lambda2 * float((proj * r.apply_s_inverse(ctx.s_inv, proj)).sum())
+            val += 0.5 * hp.lambda2 * float((proj * r.apply_s_inverse(s_inv, proj)).sum())
             return val
 
         for analytic, tilde, view, partner_proj, weights in (
-            (r.grad_u(ds, state, ctx, hp), state.u_tilde, x, y.T @ pair.v, ctx.p.weights),
-            (r.grad_v(ds, state, ctx, hp), state.v_tilde, y, x.T @ pair.u, ctx.q.weights),
+            (r.grad_u(stats, state, ctx, hp), state.u_tilde, x, y.T @ pair.v, ctx.p.weights),
+            (r.grad_v(stats, state, ctx, hp), state.v_tilde, y, x.T @ pair.u, ctx.q.weights),
         ):
             numeric = np.zeros_like(tilde)
             for i in range(tilde.shape[0]):
@@ -203,13 +204,14 @@ def test_row_norm_penalty_decreases_monotonically():
         hp = r.Hyperparams(k=3, lambda1=0.05, lambda2=0.0, eta=0.01, gamma=0.0)
         delta = np.zeros_like(u_tilde)
         norms = [r.l21_norm(u_tilde)]
+        stats = r.second_moments(x, y)
         for _ in range(50):
             pair = r.CanonicalPair(u=u_tilde, v=v_fixed)
-            ctx = r.build_context(train, pair, hp)
+            ctx = r.build_context(r.pair_moments(stats, pair), hp)
             state = r.SolverState(
                 u_tilde=u_tilde, v_tilde=np.zeros((9, 3)),
                 delta_u=delta, delta_v=np.zeros((9, 3)), pair=pair)
-            grad = r.grad_u(train, state, ctx, hp)
+            grad = r.grad_u(stats, state, ctx, hp)
             u_tilde, delta = r.momentum_step(u_tilde, delta, grad, hp)
             norms.append(r.l21_norm(u_tilde))
         worst_rise = max(worst_rise, float(np.diff(norms).max()))

@@ -245,6 +245,15 @@ def test_distinct_exit_codes(tmp_path):
     corrupt = tmp_path / "corrupt.rmen"
     corrupt.write_bytes(model.read_bytes() + b"\xff")
     assert main(["eval", "--model", str(corrupt), "--x", x_path, "--y", y_path]) == 10
+    # U's row count rewritten to ask for 64 GiB: a corrupt file, not an
+    # allocation; U's header follows the magic, version, kind, hyperparameter
+    # block and the two 6- and 5-row mean columns
+    u_shape_at = 8 + 4 + 1 + struct.calcsize("<IdddddIdqqB") + (16 + 8 * 6) + (16 + 8 * 5)
+    raw = model.read_bytes()
+    assert struct.unpack("<QQ", raw[u_shape_at:u_shape_at + 16]) == (6, 1)
+    oversized = tmp_path / "oversized.rmen"
+    oversized.write_bytes(raw[:u_shape_at] + struct.pack("<Q", 1 << 33) + raw[u_shape_at + 8:])
+    assert main(["eval", "--model", str(oversized), "--x", x_path, "--y", y_path]) == 10
 
     assert main(["train", "--x", str(tmp_path / "nope.csv"), "--y", y_path]) == 3
     assert main(["train", "--x", x_path, "--y", y_path, "--k", "0"]) == 2
@@ -257,3 +266,16 @@ def test_stdout_report_when_no_out(tmp_path, capsys):
                  "--iters", "20", "--tol", "0"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["command"] == "train"
+
+
+def test_linear_algebra_failure_is_a_numeric_exit(tmp_path, monkeypatch):
+    """np.linalg.LinAlgError subclasses ValueError; it must leave with the
+    numeric-failure code 18, not the bad-configuration code 2."""
+    x_path, y_path = _synth_files(tmp_path, n=100)
+
+    def failing_fit(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr("rmencca.cli.fit_full", failing_fit)
+    assert main(["train", "--x", x_path, "--y", y_path, "--k", "1",
+                 "--iters", "20", "--tol", "0"]) == 18

@@ -317,3 +317,13 @@ def test_model_file_corruption_detection(tmp_path):
         raw[:shape_at] + struct.pack("<QQ", 1 << 41, 1) + raw[shape_at + 16:])
     with pytest.raises(CorruptFile):
         r.load_model(str(implausible))
+
+    # U's row count rewritten to one the 2^40 plausibility bound admits but
+    # the file cannot back (64 GiB): rejected before anything is allocated
+    u_shape_at = shape_at + (16 + 8 * 5) + (16 + 8 * 4)
+    assert struct.unpack("<QQ", raw[u_shape_at:u_shape_at + 16]) == (5, 2)
+    oversized = tmp_path / "oversized.rmen"
+    oversized.write_bytes(
+        raw[:u_shape_at] + struct.pack("<Q", 1 << 32) + raw[u_shape_at + 8:])
+    with pytest.raises(CorruptFile):
+        r.load_model(str(oversized))
