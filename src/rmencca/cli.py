@@ -40,74 +40,43 @@ from .data_io import (
     split_train_validation,
     synth_two_view,
 )
-from .errors import (
-    AllZeroInput,
-    BadMagic,
-    BatchTooLarge,
-    ConfigError,
-    CorruptFile,
-    DegenerateInput,
-    DimensionMismatch,
-    EmptyInput,
-    InvalidKernelParam,
-    InvalidSmoothing,
-    NonFiniteEntry,
-    NonFiniteIterate,
-    NonNumericField,
-    RaggedRows,
-    RankBudgetTooLarge,
-    RankDeficientBasis,
-    RmenccaError,
-    SampleCountMismatch,
-    SingularCovariance,
-    TooLargeForKernel,
-    TruncatedFile,
-    VersionMismatch,
-)
-from .kernel import KernelKind, KernelModel, KernelSpec, fit_kernel, project_kernel
+from .errors import ConfigError, DimensionMismatch, NonFiniteIterate, RmenccaError
+from .kernel import KernelKind, KernelSpec, fit_kernel, project_kernel
 from .metrics import constraint_residual, pcc
 from .solver import fit_full, fit_stochastic, project
 
 VARIANTS = ("rmen", "men", "appgrad", "closed-form", "kernel-rmen")
 
-EXIT_CODES: dict[type, int] = {
-    ConfigError: 2,
-    FileNotFoundError: 3,
-    RaggedRows: 4,
-    NonNumericField: 5,
-    EmptyInput: 6,
-    BadMagic: 7,
-    TruncatedFile: 8,
-    VersionMismatch: 9,
-    CorruptFile: 10,
-    SampleCountMismatch: 11,
-    NonFiniteEntry: 12,
-    RankBudgetTooLarge: 13,
-    BatchTooLarge: 14,
-    DimensionMismatch: 15,
-    InvalidSmoothing: 16,
-    AllZeroInput: 17,
-    NonFiniteIterate: 18,
-    SingularCovariance: 19,
-    RankDeficientBasis: 20,
-    InvalidKernelParam: 21,
-    TooLargeForKernel: 22,
-    DegenerateInput: 23,
+# CLI key -> (dataclass field, type); a key left unset takes the field's default
+_HP_FIELDS = {
+    "k": ("k", int),
+    "lambda1": ("lambda1", float),
+    "lambda2": ("lambda2", float),
+    "eta": ("eta", float),
+    "gamma": ("gamma", float),
+    "zeta": ("zeta", float),
+    "iters": ("max_iters", int),
+    "tol": ("tol", float),
+    "batch_size": ("batch_size", int),
+    "seed": ("seed", int),
 }
-
-_HP_KEYS = (
-    "k", "lambda1", "lambda2", "eta", "gamma", "zeta",
-    "iters", "tol", "batch_size", "seed",
-)
-_COMMON_KEYS = _HP_KEYS + (
+_SYNTH_FIELDS = {
+    "n": ("n", int),
+    "d1": ("d1", int),
+    "d2": ("d2", int),
+    "noise": ("noise_scale", float),
+    "seed": ("seed", int),
+}
+_OUTPUT_FIELDS = {
+    "delimiter": ("delimiter", str),
+    "out": ("out", str),
+    "format": ("format", str),
+}
+_COMMON_KEYS = tuple(_HP_FIELDS) + tuple(_OUTPUT_FIELDS) + (
     "x", "y", "mnist", "variant", "variants", "kernel", "kernel_width",
-    "val_fraction", "split_seed", "out", "format", "model_out", "model",
-    "delimiter",
+    "val_fraction", "split_seed", "model_out", "model",
 )
-_SYNTH_KEYS = (
-    "n", "d1", "d2", "correlations", "noise", "seed",
-    "x_out", "y_out", "delimiter", "out", "format",
-)
+_SYNTH_KEYS = tuple(_SYNTH_FIELDS) + tuple(_OUTPUT_FIELDS) + ("correlations", "x_out", "y_out")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -232,20 +201,19 @@ def _pick(vals: dict, key: str, default):
     return default if v is None else v
 
 
+def _given(vals: dict, fields: dict) -> dict:
+    """Keyword arguments for the keys that were set, each converted to its
+    field's type; a key left unset keeps the dataclass default."""
+    return {
+        name: cast(vals[key])
+        for key, (name, cast) in fields.items()
+        if vals.get(key) is not None
+    }
+
+
 def _hyperparams(vals: dict) -> Hyperparams:
     try:
-        return Hyperparams(
-            k=int(_pick(vals, "k", 2)),
-            lambda1=float(_pick(vals, "lambda1", 0.01)),
-            lambda2=float(_pick(vals, "lambda2", 0.001)),
-            eta=float(_pick(vals, "eta", 0.005)),
-            gamma=float(_pick(vals, "gamma", 0.9)),
-            zeta=float(_pick(vals, "zeta", 1e-8)),
-            max_iters=int(_pick(vals, "iters", 500)),
-            tol=float(_pick(vals, "tol", 1e-6)),
-            batch_size=None if vals.get("batch_size") is None else int(vals["batch_size"]),
-            seed=int(_pick(vals, "seed", 0)),
-        )
+        return Hyperparams(**{"k": 2, **_given(vals, _HP_FIELDS)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -267,8 +235,6 @@ def _kernel_spec(vals: dict, variants: tuple[str, ...]) -> KernelSpec | None:
         raise ConfigError("the Gaussian kernel requires --kernel-width")
     try:
         return KernelSpec(kind=KernelKind.GAUSSIAN, width=float(width))
-    except InvalidKernelParam:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -288,6 +254,17 @@ def _check_out_dir(path: str | None) -> None:
             raise ConfigError(f"output directory does not exist: {parent}")
 
 
+def _inputs(vals: dict) -> dict:
+    """The input files as RunConfig fields: mnist_path, or x_path and y_path."""
+    mnist = vals.get("mnist")
+    if mnist is not None:
+        return {"mnist_path": _require_file(mnist, "--mnist")}
+    return {
+        "x_path": _require_file(vals.get("x"), "--x"),
+        "y_path": _require_file(vals.get("y"), "--y"),
+    }
+
+
 def parse_config(argv: list[str] | None) -> RunConfig:
     args = _build_parser().parse_args(argv)
     command = args.command
@@ -305,14 +282,11 @@ def parse_config(argv: list[str] | None) -> RunConfig:
         else:
             corr = tuple(float(c) for c in corr_raw)
         try:
+            # the sizes are the CLI's own defaults; noise and seed are the spec's
             spec = SyntheticSpec(
-                n=int(_pick(vals, "n", 1000)),
-                d1=int(_pick(vals, "d1", 10)),
-                d2=int(_pick(vals, "d2", 8)),
+                **{"n": 1000, "d1": 10, "d2": 8, **_given(vals, _SYNTH_FIELDS)},
                 k_true=len(corr),
                 correlations=corr,
-                noise_scale=float(_pick(vals, "noise", 0.0)),
-                seed=int(_pick(vals, "seed", 0)),
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -322,40 +296,23 @@ def parse_config(argv: list[str] | None) -> RunConfig:
         for p in (x_out, y_out, vals.get("out")):
             _check_out_dir(p)
         return RunConfig(
-            command="synth",
-            synth=spec,
-            x_out=x_out,
-            y_out=y_out,
-            delimiter=str(_pick(vals, "delimiter", ",")),
-            out=vals.get("out"),
-            format=str(_pick(vals, "format", "json")),
+            command="synth", synth=spec, x_out=x_out, y_out=y_out,
+            **_given(vals, _OUTPUT_FIELDS),
         )
 
     if command == "eval":
-        vals = _merge(args, ("model", "x", "y", "mnist", "delimiter", "out", "format"))
+        vals = _merge(args, ("model", "x", "y", "mnist") + tuple(_OUTPUT_FIELDS))
         model_path = _require_file(vals.get("model"), "--model")
-        mnist = vals.get("mnist")
-        x_path = y_path = None
-        if mnist is not None:
-            _require_file(mnist, "--mnist")
-        else:
-            x_path = _require_file(vals.get("x"), "--x")
-            y_path = _require_file(vals.get("y"), "--y")
+        inputs = _inputs(vals)
         _check_out_dir(vals.get("out"))
         return RunConfig(
-            command="eval",
-            model_path=model_path,
-            x_path=x_path,
-            y_path=y_path,
-            mnist_path=mnist,
-            delimiter=str(_pick(vals, "delimiter", ",")),
-            out=vals.get("out"),
-            format=str(_pick(vals, "format", "json")),
+            command="eval", model_path=model_path, **inputs,
+            **_given(vals, _OUTPUT_FIELDS),
         )
 
     vals = _merge(args, _COMMON_KEYS)
     if command == "train":
-        variant = str(_pick(vals, "variant", "rmen"))
+        variant = str(_pick(vals, "variant", RunConfig.variant))
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}; choose from {', '.join(VARIANTS)}")
         variants = (variant,)
@@ -373,14 +330,8 @@ def parse_config(argv: list[str] | None) -> RunConfig:
 
     hp = _hyperparams(vals)
     kernel = _kernel_spec(vals, variants)
-    mnist = vals.get("mnist")
-    x_path = y_path = None
-    if mnist is not None:
-        _require_file(mnist, "--mnist")
-    else:
-        x_path = _require_file(vals.get("x"), "--x")
-        y_path = _require_file(vals.get("y"), "--y")
-    val_fraction = float(_pick(vals, "val_fraction", 0.2))
+    inputs = _inputs(vals)
+    val_fraction = float(_pick(vals, "val_fraction", RunConfig.val_fraction))
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"--val-fraction must lie in (0, 1), got {val_fraction}")
     _check_out_dir(vals.get("out"))
@@ -390,18 +341,14 @@ def parse_config(argv: list[str] | None) -> RunConfig:
     return RunConfig(
         command=command,
         hp=hp,
-        x_path=x_path,
-        y_path=y_path,
-        mnist_path=mnist,
+        **inputs,
         variant=variants[0],
         variants=variants,
         kernel=kernel,
         val_fraction=val_fraction,
         split_seed=int(_pick(vals, "split_seed", hp.seed)),
-        out=vals.get("out"),
-        format=str(_pick(vals, "format", "json")),
         model_out=vals.get("model_out"),
-        delimiter=str(_pick(vals, "delimiter", ",")),
+        **_given(vals, _OUTPUT_FIELDS),
     )
 
 
@@ -415,74 +362,59 @@ def _load_views(cfg: RunConfig) -> TwoViewDataset:
     return TwoViewDataset(x=x, y=y)
 
 
-def _fit_variant(variant, train_ds, cfg: RunConfig):
-    """Returns (row dict, ModelFile, linear pair or None, kernel model or None)."""
+def _fit_variant(variant: str, train_ds: TwoViewDataset, cfg: RunConfig) -> tuple[dict, ModelFile]:
+    """Fit one variant; returns its report row, before evaluation, and its
+    model."""
     hp = cfg.hp
-    started = time.perf_counter()
+    pair = km = None
+    extra = {}
     if variant == "closed-form":
+        started = time.perf_counter()
         sol = cca_closed_form(train_ds, hp.k)
         wall = time.perf_counter() - started
-        res_u, res_v = constraint_residual(sol.pair, train_ds)
-        row = {
-            "variant": variant,
-            "iterations_run": 0,
-            "termination": "closed_form",
-            "objective_trace": [],
-            "constraint_residual_u": res_u,
-            "constraint_residual_v": res_v,
-            "canonical_correlations": list(sol.correlations),
-            "wall_seconds": wall,
-        }
-        model = ModelFile(
-            version=1, hp=hp,
-            means_x=train_ds.x.feature_means, means_y=train_ds.y.feature_means,
-            pair=sol.pair,
-        )
-        return row, model, sol.pair, None
-
-    if variant == "kernel-rmen":
-        km = fit_kernel(train_ds, cfg.kernel, cfg.kernel, hp)
-        report = km.report
-        row = _report_row(variant, report)
-        model = ModelFile(
-            version=1, hp=hp,
-            means_x=train_ds.x.feature_means, means_y=train_ds.y.feature_means,
-            kernel=km,
-        )
-        return row, model, None, km
-
-    if variant == "men":
-        hp = men_cca_mode(hp)
-    elif variant == "appgrad":
-        hp = appgrad_config(hp)
-    fit = fit_stochastic if hp.batch_size is not None else fit_full
-    report = fit(train_ds, hp)
-    row = _report_row(variant, report)
+        pair = sol.pair
+        iterations, termination, trace = 0, "closed_form", ()
+        res_u, res_v = constraint_residual(pair, train_ds)
+        extra = {"canonical_correlations": list(sol.correlations)}
+    else:
+        if variant == "kernel-rmen":
+            km = fit_kernel(train_ds, cfg.kernel, cfg.kernel, hp)
+            report = km.report
+        else:
+            if variant == "men":
+                hp = men_cca_mode(hp)
+            elif variant == "appgrad":
+                hp = appgrad_config(hp)
+            fit = fit_stochastic if hp.batch_size is not None else fit_full
+            report = fit(train_ds, hp)
+            pair = report.pair
+        iterations, termination = report.iterations_run, report.termination.value
+        trace = report.objective_trace
+        res_u, res_v = report.final_constraint_residual_u, report.final_constraint_residual_v
+        wall = report.wall_seconds
+    row = {
+        "variant": variant,
+        "iterations_run": iterations,
+        "termination": termination,
+        "objective_trace": list(trace),
+        "constraint_residual_u": res_u,
+        "constraint_residual_v": res_v,
+        **extra,
+        "wall_seconds": wall,
+    }
     model = ModelFile(
         version=1, hp=hp,
         means_x=train_ds.x.feature_means, means_y=train_ds.y.feature_means,
-        pair=report.pair,
+        pair=pair, kernel=km,
     )
-    return row, model, report.pair, None
+    return row, model
 
 
-def _report_row(variant, report) -> dict:
-    return {
-        "variant": variant,
-        "iterations_run": report.iterations_run,
-        "termination": report.termination.value,
-        "objective_trace": list(report.objective_trace),
-        "constraint_residual_u": report.final_constraint_residual_u,
-        "constraint_residual_v": report.final_constraint_residual_v,
-        "wall_seconds": report.wall_seconds,
-    }
-
-
-def _evaluate(row: dict, pair, km: KernelModel | None, val_ds: TwoViewDataset) -> dict:
-    if km is not None:
-        a, b = project_kernel(km, val_ds.x, val_ds.y)
+def _evaluate(row: dict, model: ModelFile, val_ds: TwoViewDataset) -> dict:
+    if model.kernel is not None:
+        a, b = project_kernel(model.kernel, val_ds.x, val_ds.y)
     else:
-        a, b = project(pair, val_ds)
+        a, b = project(model.pair, val_ds)
     report = pcc(a, b)
     row["pcc_per_dimension"] = list(report.per_dimension)
     row["mean_pcc_percent"] = report.mean_pcc_percent
@@ -502,9 +434,8 @@ def _run_train_like(cfg: RunConfig) -> dict:
     )
     rows = []
     for variant in cfg.variants:
-        row, model, pair, km = _fit_variant(variant, train_ds, cfg)
-        row = _evaluate(row, pair, km, val_ds)
-        rows.append(row)
+        row, model = _fit_variant(variant, train_ds, cfg)
+        rows.append(_evaluate(row, model, val_ds))
         if cfg.command == "train" and cfg.model_out:
             save_model(model, cfg.model_out)
     base = {
@@ -521,14 +452,18 @@ def _run_train_like(cfg: RunConfig) -> dict:
 def _run_eval(cfg: RunConfig) -> dict:
     mf = load_model(cfg.model_path)
     ds = _load_views(cfg)
+    trained = (mf.means_x.size, mf.means_y.size)
+    if (ds.x.d, ds.y.d) != trained:
+        raise DimensionMismatch(
+            f"the model was trained on views of {trained[0]} and {trained[1]} "
+            f"features, the data has {ds.x.d} and {ds.y.d}"
+        )
     val_ds = TwoViewDataset(
         x=center_with_means(ds.x, mf.means_x),
         y=center_with_means(ds.y, mf.means_y),
     )
-    if mf.kernel is not None:
-        row = _evaluate({"variant": "kernel-rmen"}, None, mf.kernel, val_ds)
-    else:
-        row = _evaluate({"variant": "linear"}, mf.pair, None, val_ds)
+    variant = "linear" if mf.kernel is None else "kernel-rmen"
+    row = _evaluate({"variant": variant}, mf, val_ds)
     return {"command": "eval", "k": mf.hp.k, "n_samples": val_ds.n, **row}
 
 
@@ -552,18 +487,15 @@ def _run_synth(cfg: RunConfig) -> dict:
 # ------------------------------------------------------------------ reports
 
 def _to_tsv(report: dict) -> str:
-    rows = report.get("rows")
-    if rows is None:
-        rows = [{k: v for k, v in report.items()}]
-        scalar_keys = [k for k in report if k != "rows"]
-    else:
-        common = {k: v for k, v in report.items() if k != "rows"}
-        rows = [{**common, **r} for r in rows]
-        scalar_keys = list(rows[0].keys())
-    lines = ["\t".join(scalar_keys)]
+    """One line per row under a header of every row's keys, in first-seen
+    order; a row lacking a key gets an empty cell."""
+    common = {k: v for k, v in report.items() if k != "rows"}
+    rows = [{**common, **r} for r in report.get("rows", [{}])]
+    header = list(dict.fromkeys(key for row in rows for key in row))
+    lines = ["\t".join(header)]
     for row in rows:
         cells = []
-        for key in scalar_keys:
+        for key in header:
             val = row.get(key, "")
             if isinstance(val, (list, tuple)):
                 val = ",".join(_fmt(v) for v in val)
@@ -607,23 +539,20 @@ def run(cfg: RunConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cfg = parse_config(argv)
-        return run(cfg)
-    except SystemExit:
-        raise
+        return run(parse_config(argv))
     except RmenccaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CODES.get(type(exc), 1)
+        code, message = exc.exit_code, str(exc)
     except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CODES[FileNotFoundError]
+        code, message = 3, str(exc)
+    except MemoryError as exc:
+        code, message = 24, f"out of memory: {exc}" if str(exc) else "out of memory"
     except np.linalg.LinAlgError as exc:
         # a ValueError subclass, but a numeric failure, not bad configuration
-        print(f"error: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_CODES[NonFiniteIterate]
+        code, message = NonFiniteIterate.exit_code, f"numeric failure: {exc}"
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CODES[ConfigError]
+        code, message = ConfigError.exit_code, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

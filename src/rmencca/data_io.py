@@ -160,21 +160,24 @@ def load_dsv(path: str, delimiter: str = ",") -> ViewMatrix:
     rows: list[list[float]] = []
     width = -1
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(delimiter)
-            if width == -1:
-                width = len(fields)
-            elif len(fields) != width:
-                raise RaggedRows(
-                    f"{path}: line {lineno} has {len(fields)} fields, expected {width}"
-                )
-            try:
-                rows.append([float(tok) for tok in fields])
-            except ValueError as exc:
-                raise NonNumericField(f"{path}: line {lineno}: {exc}") from None
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                fields = line.split(delimiter)
+                if width == -1:
+                    width = len(fields)
+                elif len(fields) != width:
+                    raise RaggedRows(
+                        f"{path}: line {lineno} has {len(fields)} fields, expected {width}"
+                    )
+                try:
+                    rows.append([float(tok) for tok in fields])
+                except ValueError as exc:
+                    raise NonNumericField(f"{path}: line {lineno}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise NonNumericField(f"{path}: not UTF-8 text: {exc}") from None
     if not rows:
         raise EmptyInput(f"{path}: no data rows")
     return ViewMatrix.of(np.asarray(rows, dtype=np.float64).T)
@@ -202,6 +205,10 @@ def load_mnist_halves(images_path: str) -> TwoViewDataset:
         magic, count, rows, cols = struct.unpack(">IIII", header)
         if magic != 0x00000803:
             raise BadMagic(f"{images_path}: magic 0x{magic:08x}, expected 0x00000803")
+        if count == 0 or rows * (cols // 2) == 0:
+            raise EmptyInput(
+                f"{images_path}: {count} images of {rows} x {cols} pixels leave a view empty"
+            )
         payload = fh.read(count * rows * cols)
     if len(payload) < count * rows * cols:
         raise TruncatedFile(

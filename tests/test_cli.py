@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import rmencca as r
-from rmencca.cli import main
+from rmencca import errors
+from rmencca.cli import main, parse_config
 
 
 def _synth_files(tmp_path, n=400, corr="0.9,0.6", noise="0.2", seed="1"):
@@ -180,6 +181,12 @@ def test_tsv_format_parses_strictly(tmp_path):
     assert first["variant"] == "rmen"
     assert float(first["mean_pcc_percent"]) == pytest.approx(
         float(first["mean_pcc_percent"]))
+    # the header covers every row's keys, not only the first row's
+    closed = dict(zip(header, lines[2].split("\t")))
+    assert closed["variant"] == "closed-form"
+    assert first["canonical_correlations"] == ""
+    correlations = [float(c) for c in closed["canonical_correlations"].split(",")]
+    assert len(correlations) == 2 and 0.0 < correlations[1] <= correlations[0] <= 1.0
 
 
 def test_config_file_merging_and_overrides(tmp_path):
@@ -259,6 +266,23 @@ def test_distinct_exit_codes(tmp_path):
     assert main(["train", "--x", x_path, "--y", y_path, "--k", "0"]) == 2
     assert main(["train", "--x", x_path, "--y", y_path, "--k", "99"]) == 13
 
+    # a model of 6 and 5 features evaluated on views of 4 and 5 features
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("\n".join(",".join(line.split(",")[:4])
+                                for line in open(x_path, encoding="utf-8").read().splitlines()))
+    assert main(["eval", "--model", str(model), "--x", str(narrow), "--y", y_path]) == 15
+
+    # an IDX file with no images, and one whose images are one pixel wide
+    for count, cols in ((0, 6), (5, 1)):
+        empty = tmp_path / f"empty_{count}_{cols}.idx"
+        empty.write_bytes(struct.pack(">IIII", 0x00000803, count, 4, cols)
+                          + b"\x00" * (count * 4 * cols))
+        assert main(["train", "--mnist", str(empty)]) == 6
+
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("1,2\n3,4\xe9\n".encode("latin-1"))
+    assert main(["train", "--x", str(latin1), "--y", y_path]) == 5
+
 
 def test_stdout_report_when_no_out(tmp_path, capsys):
     x_path, y_path = _synth_files(tmp_path, n=100)
@@ -279,3 +303,42 @@ def test_linear_algebra_failure_is_a_numeric_exit(tmp_path, monkeypatch):
     monkeypatch.setattr("rmencca.cli.fit_full", failing_fit)
     assert main(["train", "--x", x_path, "--y", y_path, "--k", "1",
                  "--iters", "20", "--tol", "0"]) == 18
+
+
+def test_out_of_memory_is_a_typed_exit(tmp_path, monkeypatch, capsys):
+    x_path, y_path = _synth_files(tmp_path, n=100)
+
+    def failing_fit(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.9 GiB")
+
+    monkeypatch.setattr("rmencca.cli.fit_full", failing_fit)
+    assert main(["train", "--x", x_path, "--y", y_path, "--k", "1",
+                 "--iters", "20", "--tol", "0"]) == 24
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 14.9 GiB\n"
+
+
+def test_exit_codes_live_on_the_error_classes():
+    documented = {
+        "ConfigError": 2, "RaggedRows": 4, "NonNumericField": 5,
+        "EmptyInput": 6, "BadMagic": 7, "TruncatedFile": 8,
+        "VersionMismatch": 9, "CorruptFile": 10, "SampleCountMismatch": 11,
+        "NonFiniteEntry": 12, "RankBudgetTooLarge": 13, "BatchTooLarge": 14,
+        "DimensionMismatch": 15, "InvalidSmoothing": 16, "AllZeroInput": 17,
+        "NonFiniteIterate": 18, "SingularCovariance": 19,
+        "RankDeficientBasis": 20, "InvalidKernelParam": 21,
+        "TooLargeForKernel": 22, "DegenerateInput": 23,
+    }
+    codes = {c.__name__: c.exit_code for c in errors.RmenccaError.__subclasses__()}
+    assert codes == documented
+    assert len(set(codes.values())) == len(codes)
+    # 0 success, 1 the base class, 3 a missing file, 24 out of memory
+    assert not set(codes.values()) & {0, 1, 3, 24}
+
+
+def test_cli_defaults_come_from_the_dataclasses(tmp_path):
+    x_path, y_path = _synth_files(tmp_path, n=50)
+    cfg = parse_config(["train", "--x", x_path, "--y", y_path])
+    assert cfg.hp == r.Hyperparams(k=2)
+    assert (cfg.delimiter, cfg.format, cfg.val_fraction, cfg.variant) == (",", "json", 0.2, "rmen")
+    assert cfg.variants == ("rmen",)
+    assert cfg.split_seed == cfg.hp.seed
