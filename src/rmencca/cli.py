@@ -46,6 +46,12 @@ from .metrics import constraint_residual, pcc
 from .solver import fit_full, fit_stochastic, project
 
 VARIANTS = ("rmen", "men", "appgrad", "closed-form", "kernel-rmen")
+DEFAULT_VARIANT = "rmen"
+KERNELS = tuple(kind.value for kind in KernelKind)
+FORMATS = ("json", "tsv")
+# keys whose flags take `choices`; config-file values are checked against the
+# same tuples
+_CHOICES = {"variant": VARIANTS, "kernel": KERNELS, "format": FORMATS}
 
 # CLI key -> (dataclass field, type); a key left unset takes the field's default
 _HP_FIELDS = {
@@ -88,7 +94,6 @@ class RunConfig:
     x_path: str | None = None
     y_path: str | None = None
     mnist_path: str | None = None
-    variant: str = "rmen"
     variants: tuple[str, ...] = ()
     kernel: KernelSpec | None = None
     val_fraction: float = 0.2
@@ -128,14 +133,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--iters", type=int)
         p.add_argument("--tol", type=float)
         p.add_argument("--batch-size", type=int, dest="batch_size")
-        p.add_argument("--kernel", choices=("gaussian", "linear"))
+        p.add_argument("--kernel", choices=KERNELS)
         p.add_argument("--kernel-width", type=float, dest="kernel_width")
         p.add_argument("--seed", type=int)
         p.add_argument("--val-fraction", type=float, dest="val_fraction")
         p.add_argument("--split-seed", type=int, dest="split_seed")
         p.add_argument("--delimiter")
         p.add_argument("--out")
-        p.add_argument("--format", choices=("json", "tsv"))
+        p.add_argument("--format", choices=FORMATS)
 
     p_synth = sub.add_parser("synth", help="generate planted two-view data")
     p_synth.add_argument("--config")
@@ -149,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--y-out", dest="y_out")
     p_synth.add_argument("--delimiter")
     p_synth.add_argument("--out")
-    p_synth.add_argument("--format", choices=("json", "tsv"))
+    p_synth.add_argument("--format", choices=FORMATS)
 
     p_train = sub.add_parser("train", help="fit one variant and evaluate held out")
     add_common(p_train, with_variant=True)
@@ -163,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--mnist")
     p_eval.add_argument("--delimiter")
     p_eval.add_argument("--out")
-    p_eval.add_argument("--format", choices=("json", "tsv"))
+    p_eval.add_argument("--format", choices=FORMATS)
 
     p_cmp = sub.add_parser("compare", help="fit several variants on one split")
     add_common(p_cmp, with_variant=False)
@@ -193,6 +198,11 @@ def _merge(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
     for key in keys:
         flag = getattr(args, key, None)
         merged[key] = flag if flag is not None else file_vals.get(key)
+        allowed = _CHOICES.get(key)
+        if allowed and merged[key] is not None and merged[key] not in allowed:
+            raise ConfigError(
+                f"unknown {key} {merged[key]!r}; choose from {', '.join(allowed)}"
+            )
     return merged
 
 
@@ -201,11 +211,24 @@ def _pick(vals: dict, key: str, default):
     return default if v is None else v
 
 
+def _cast(key: str, value, cast):
+    """cast(value); a value of the wrong type or form is a ConfigError."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad --{key.replace('_', '-')} value: {value!r}") from None
+
+
+def _floats(raw) -> tuple[float, ...]:
+    """A comma-separated string, or a list of numbers, as floats."""
+    return tuple(float(c) for c in (raw.split(",") if isinstance(raw, str) else raw))
+
+
 def _given(vals: dict, fields: dict) -> dict:
     """Keyword arguments for the keys that were set, each converted to its
     field's type; a key left unset keeps the dataclass default."""
     return {
-        name: cast(vals[key])
+        name: _cast(key, vals[key], cast)
         for key, (name, cast) in fields.items()
         if vals.get(key) is not None
     }
@@ -233,8 +256,9 @@ def _kernel_spec(vals: dict, variants: tuple[str, ...]) -> KernelSpec | None:
         return KernelSpec(kind=KernelKind.LINEAR)
     if width is None:
         raise ConfigError("the Gaussian kernel requires --kernel-width")
+    width = _cast("kernel_width", width, float)
     try:
-        return KernelSpec(kind=KernelKind.GAUSSIAN, width=float(width))
+        return KernelSpec(kind=KernelKind.GAUSSIAN, width=width)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -242,6 +266,8 @@ def _kernel_spec(vals: dict, variants: tuple[str, ...]) -> KernelSpec | None:
 def _require_file(path: str | None, what: str) -> str:
     if not path:
         raise ConfigError(f"missing required input: {what}")
+    if not isinstance(path, str):
+        raise ConfigError(f"bad {what} value: {path!r}")
     if not os.path.isfile(path):
         raise FileNotFoundError(f"{what} not found: {path}")
     return path
@@ -249,6 +275,8 @@ def _require_file(path: str | None, what: str) -> str:
 
 def _check_out_dir(path: str | None) -> None:
     if path:
+        if not isinstance(path, str):
+            raise ConfigError(f"bad output path: {path!r}")
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
             raise ConfigError(f"output directory does not exist: {parent}")
@@ -274,13 +302,7 @@ def parse_config(argv: list[str] | None) -> RunConfig:
         corr_raw = vals.get("correlations")
         if corr_raw is None:
             raise ConfigError("synth requires --correlations")
-        if isinstance(corr_raw, str):
-            try:
-                corr = tuple(float(tok) for tok in corr_raw.split(","))
-            except ValueError:
-                raise ConfigError(f"bad --correlations value: {corr_raw!r}") from None
-        else:
-            corr = tuple(float(c) for c in corr_raw)
+        corr = _cast("correlations", corr_raw, _floats)
         try:
             # the sizes are the CLI's own defaults; noise and seed are the spec's
             spec = SyntheticSpec(
@@ -312,15 +334,14 @@ def parse_config(argv: list[str] | None) -> RunConfig:
 
     vals = _merge(args, _COMMON_KEYS)
     if command == "train":
-        variant = str(_pick(vals, "variant", RunConfig.variant))
-        if variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {variant!r}; choose from {', '.join(VARIANTS)}")
-        variants = (variant,)
+        variants = (_pick(vals, "variant", DEFAULT_VARIANT),)
     else:
         raw = vals.get("variants")
         if raw is None:
             raise ConfigError("compare requires --variants")
-        parts = tuple(tok.strip() for tok in (raw if isinstance(raw, str) else ",".join(raw)).split(","))
+        if not isinstance(raw, str):
+            raw = _cast("variants", raw, ",".join)
+        parts = tuple(tok.strip() for tok in raw.split(","))
         bad = [p for p in parts if p not in VARIANTS]
         if bad:
             raise ConfigError(f"unknown variants: {', '.join(bad)}")
@@ -331,7 +352,7 @@ def parse_config(argv: list[str] | None) -> RunConfig:
     hp = _hyperparams(vals)
     kernel = _kernel_spec(vals, variants)
     inputs = _inputs(vals)
-    val_fraction = float(_pick(vals, "val_fraction", RunConfig.val_fraction))
+    val_fraction = _cast("val_fraction", _pick(vals, "val_fraction", RunConfig.val_fraction), float)
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"--val-fraction must lie in (0, 1), got {val_fraction}")
     _check_out_dir(vals.get("out"))
@@ -342,11 +363,10 @@ def parse_config(argv: list[str] | None) -> RunConfig:
         command=command,
         hp=hp,
         **inputs,
-        variant=variants[0],
         variants=variants,
         kernel=kernel,
         val_fraction=val_fraction,
-        split_seed=int(_pick(vals, "split_seed", hp.seed)),
+        split_seed=_cast("split_seed", _pick(vals, "split_seed", hp.seed), int),
         model_out=vals.get("model_out"),
         **_given(vals, _OUTPUT_FIELDS),
     )

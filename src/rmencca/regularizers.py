@@ -6,8 +6,9 @@ S-inverse operator representing (M + zeta I)^(-1/2) for M = Z Z^T,
 Z = [proj_x proj_y].  M has rank at most 2k, so the operator is factored from
 an eigh of the 2k x 2k Gram Z^T Z.  The operator can be built in n-space from
 Z itself, or from an image T Z of Z under a linear map T (the solver uses
-T = X and T = Y) together with the Gram, so that T S^-1 T^T is applied
-without ever forming an n-length array.
+T = X and T = Y) together with the Gram's eigh, so that T S^-1 T^T is applied
+without ever forming an n-length array; one eigh serves both images and the
+nuclear norm.
 """
 from __future__ import annotations
 
@@ -61,10 +62,11 @@ def nuclear_norm(m) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
-def gram_nuclear_norm(gram) -> float:
-    """Nuclear norm of Z from its Gram Z^T Z: the sum of the square roots of
-    the eigenvalues, with those the S-inverse treats as zero left out."""
-    lam = np.linalg.eigvalsh(np.asarray(gram, dtype=np.float64))
+def gram_nuclear_norm(gram_eigvals) -> float:
+    """Nuclear norm of Z from the ascending eigenvalues of its Gram Z^T Z:
+    the sum of their square roots, with those the S-inverse treats as zero
+    left out."""
+    lam = np.asarray(gram_eigvals, dtype=np.float64)
     return float(np.sqrt(lam[_kept(lam)]).sum())
 
 
@@ -98,14 +100,14 @@ def surrogate_penalty(m, hq: HQDiagonal) -> float:
     return float((hq.weights * (m * m).sum(axis=1)).sum())
 
 
-def build_s_inverse(proj_x, proj_y, zeta: float, gram=None) -> SInverseOperator:
+def build_s_inverse(proj_x, proj_y, zeta: float, spectrum=None) -> SInverseOperator:
     """Factor the operator from the two projection blocks of Z.
 
     The eigh of the 2k x 2k Gram Z^T Z = W diag(lam) W^T yields the nonzero
     spectrum of M (the eigenvalues lam) and Phi = Z W lam^(-1/2).  Without
-    `gram` the blocks are Z itself (n x k each, T the identity).  With
-    `gram` = Z^T Z they may instead be the blocks of an image T Z, and the
-    basis is T Phi.
+    `spectrum` the blocks are Z itself (n x k each, T the identity).  With
+    `spectrum` = (lam, W), the eigh of Z^T Z, they may instead be the blocks
+    of an image T Z, and the basis is T Phi.
     """
     if zeta <= 0:
         raise InvalidSmoothing(f"zeta must be positive, got {zeta}")
@@ -116,13 +118,13 @@ def build_s_inverse(proj_x, proj_y, zeta: float, gram=None) -> SInverseOperator:
             f"projection row counts differ: {proj_x.shape[0]} vs {proj_y.shape[0]}"
         )
     concat = np.concatenate([proj_x, proj_y], axis=1)
-    if gram is None:
-        gram = concat.T @ concat
-    elif np.shape(gram) != (concat.shape[1],) * 2:
+    if spectrum is None:
+        spectrum = np.linalg.eigh(concat.T @ concat)
+    lam, w = spectrum
+    if w.shape != (concat.shape[1],) * 2:
         raise DimensionMismatch(
-            f"Gram of shape {np.shape(gram)} for {concat.shape[1]} projection columns"
+            f"Gram eigenvectors of shape {w.shape} for {concat.shape[1]} projection columns"
         )
-    lam, w = np.linalg.eigh(gram)
     keep = _kept(lam)
     lam = lam[keep]
     return SInverseOperator(

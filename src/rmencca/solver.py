@@ -3,29 +3,36 @@
 Every per-iteration quantity is a function of the second moments
 Cxx = XX^T/n, Cyy = YY^T/n, Cxy = XY^T/n and of the current pair (U, V), so
 a fit forms the statistics once (one O(n d^2) pass) and each iteration then
-costs O(d^2 k), independent of n.  One iteration, given the current true
-pair:
+costs O(d^2 k), independent of n.  Each product of a statistic with a d x k
+block is formed once and carried to every later use, so a full-batch
+iteration makes 6 of them (with n x n statistics in a kernel fit) and one
+eigh of the 2k x 2k pair Gram.  One iteration, given the current true pair,
+its pair moments (Cxx U, Cxy V, Cyx U, Cyy V and the Gram of
+Z = [X^T U  Y^T V]) and the carried Cxx U~, Cyy V~:
 
-  1. see the pair through the statistics: Cxx U, Cxy V, Cyx U, Cyy V and the
-     2k x 2k Gram of Z = [X^T U  Y^T V] (pair_moments)
-  2. factor the S-inverse operator from an eigh of that Gram, and build the
-     half-quadratic diagonals P (from U) and Q (from V) (build_context)
-  3. gradient step on the unnormalized U-tilde, then whiten against Cxx
-  4. gradient step on V-tilde using the freshly whitened U, whiten against
-     Cyy
-  5. the objective at the new pair, from its pair moments, which the next
-     iteration's context reuses
+  1. factor the S-inverse operator from the eigh of the pair Gram, and build
+     the half-quadratic diagonals P (from U) and Q (from V) (build_context)
+  2. gradient step on the unnormalized U-tilde from the carried Cxx U~ and
+     Cxy V; form Cxx U~ at the new U-tilde and whiten against Cxx in two
+     passes, the second (refinement) pass on a freshly formed Cxx U1, which
+     also yields Cxx U; form Cyx U
+  3. gradient step on V-tilde from the carried Cyy V~ and Cyx U of the
+     freshly whitened U; whiten the same way against Cyy; form Cxy V
+  4. assemble the new pair moments from these products with k x k work
+  5. the objective at the new pair, from its pair moments; its Gram eigh
+     is the one the next iteration's context reuses
 
 The stochastic variant draws a fresh sample subset each iteration, forms the
-subset's statistics (with 1/m scaling) and runs the same iteration on them,
-then restores the exact full-batch whitening constraints once at the end.
-The kernel fit runs the full-batch iteration on the statistics of its Gram
-matrices.
+subset's statistics (with 1/m scaling) and the pair's and iterates' products
+with them, and runs the same iteration on them, then restores the exact
+full-batch whitening constraints once at the end.  The kernel fit runs the
+full-batch iteration on the statistics of its Gram matrices.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +94,22 @@ class PairMoments:
     gram: np.ndarray
     n: int
 
+    @classmethod
+    def of(cls, pair, cxx_u, cxy_v, cyx_u, cyy_v, n) -> "PairMoments":
+        """Assemble the Gram from the four products (k x k work)."""
+        u, v = pair.u, pair.v
+        gram = np.block([[u.T @ cxx_u, u.T @ cxy_v], [v.T @ cyx_u, v.T @ cyy_v]])
+        return cls(
+            pair=pair, cxx_u=cxx_u, cxy_v=cxy_v, cyx_u=cyx_u, cyy_v=cyy_v,
+            gram=0.5 * (gram + gram.T), n=n,
+        )
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """eigh of the unscaled Gram Z^T Z, formed once and shared by the
+        S-inverse operators and the nuclear norm."""
+        return np.linalg.eigh(self.n * self.gram)
+
 
 @dataclass(frozen=True, eq=False)
 class IterationContext:
@@ -124,30 +147,24 @@ def pair_moments(stats: SecondMoments, pair: CanonicalPair) -> PairMoments:
             f"pair shapes {u.shape}/{v.shape} do not fit views "
             f"d1={stats.cxx.shape[0]}, d2={stats.cyy.shape[0]}"
         )
-    cxx_u = stats.cxx @ u
-    cxy_v = stats.cxy @ v
-    cyx_u = stats.cxy.T @ u
-    cyy_v = stats.cyy @ v
-    gram = np.block([[u.T @ cxx_u, u.T @ cxy_v], [v.T @ cyx_u, v.T @ cyy_v]])
-    return PairMoments(
-        pair=pair, cxx_u=cxx_u, cxy_v=cxy_v, cyx_u=cyx_u, cyy_v=cyy_v,
-        gram=0.5 * (gram + gram.T), n=stats.n,
+    return PairMoments.of(
+        pair, stats.cxx @ u, stats.cxy @ v, stats.cxy.T @ u, stats.cyy @ v, stats.n
     )
 
 
 def build_context(pm: PairMoments, hp: Hyperparams) -> IterationContext:
     """Freeze S^-1, P and Q at the pair of `pm` for one iteration.
 
-    With Z = [X^T U  Y^T V], the S-inverse is factored from the Gram Z^T Z
-    and built on the images X Z = n [Cxx U, Cxy V] and Y Z = n [Cyx U, Cyy V],
-    so its bases are X Phi and Y Phi.
+    With Z = [X^T U  Y^T V], the S-inverse is factored from the eigh of the
+    Gram Z^T Z (pm.spectrum) and built on the images X Z = n [Cxx U, Cxy V]
+    and Y Z = n [Cyx U, Cyy V], so its bases are X Phi and Y Phi.
     """
     pair = pm.pair
     s_inv_x = s_inv_y = None
     if hp.lambda2 != 0.0:
-        gram = pm.n * pm.gram
-        s_inv_x = build_s_inverse(pm.n * pm.cxx_u, pm.n * pm.cxy_v, hp.zeta, gram)
-        s_inv_y = build_s_inverse(pm.n * pm.cyx_u, pm.n * pm.cyy_v, hp.zeta, gram)
+        spec = pm.spectrum
+        s_inv_x = build_s_inverse(pm.n * pm.cxx_u, pm.n * pm.cxy_v, hp.zeta, spec)
+        s_inv_y = build_s_inverse(pm.n * pm.cyx_u, pm.n * pm.cyy_v, hp.zeta, spec)
     if hp.penalty is Penalty.L21:
         p = hq_diagonal(pair.u, hp.zeta)
         q = hq_diagonal(pair.v, hp.zeta)
@@ -164,7 +181,8 @@ def objective(pm: PairMoments, hp: Hyperparams) -> float:
                                  + lambda2 ||[X^T U  Y^T V]||_*
 
     The fit term is (1/2)(tr U^T Cxx U + tr V^T Cyy V - 2 tr U^T Cxy V) and
-    the nuclear norm comes from the Gram of [X^T U  Y^T V].  In Frobenius
+    the nuclear norm comes from the eigenvalues of the Gram of [X^T U  Y^T V]
+    (pm.spectrum, shared with the next iteration's context).  In Frobenius
     penalty mode the lambda1 term is ||U||_F^2 + ||V||_F^2.
     """
     u, v = pm.pair.u, pm.pair.v
@@ -177,7 +195,7 @@ def objective(pm: PairMoments, hp: Hyperparams) -> float:
         else:
             val += hp.lambda1 * float((u * u).sum() + (v * v).sum())
     if hp.lambda2 != 0.0:
-        val += hp.lambda2 * gram_nuclear_norm(pm.n * g)
+        val += hp.lambda2 * gram_nuclear_norm(pm.spectrum[0])
     return val
 
 
@@ -186,16 +204,24 @@ def grad_u(
     state: SolverState,
     ctx: IterationContext,
     hp: Hyperparams,
+    cxx_ut: np.ndarray | None = None,
+    cxy_v: np.ndarray | None = None,
 ) -> np.ndarray:
     """Cxx U~ - Cxy V + lambda1 P U~ + lambda2 X S^-1 X^T U~, where
-    X S^-1 X^T U~ = zeta^(-1/2) n Cxx U~ + X Phi D (X Phi)^T U~."""
+    X S^-1 X^T U~ = zeta^(-1/2) n Cxx U~ + X Phi D (X Phi)^T U~.
+
+    cxx_ut = Cxx U~ and cxy_v = Cxy V are the products a caller already
+    holds; each one left out is formed here."""
     ut = state.u_tilde
     if ut.shape[0] != stats.cxx.shape[0]:
         raise DimensionMismatch(
             f"u_tilde has {ut.shape[0]} rows, view x has {stats.cxx.shape[0]}"
         )
-    cxx_ut = stats.cxx @ ut
-    g = cxx_ut - stats.cxy @ state.pair.v
+    if cxx_ut is None:
+        cxx_ut = stats.cxx @ ut
+    if cxy_v is None:
+        cxy_v = stats.cxy @ state.pair.v
+    g = cxx_ut - cxy_v
     if hp.lambda1 != 0.0:
         g = g + hp.lambda1 * ctx.p.weights[:, None] * ut
     if hp.lambda2 != 0.0:
@@ -208,15 +234,21 @@ def grad_v(
     state: SolverState,
     ctx: IterationContext,
     hp: Hyperparams,
+    cyy_vt: np.ndarray | None = None,
+    cyx_u: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Mirror of grad_u; the residual uses the freshly updated U in state.pair."""
+    """Mirror of grad_u; the residual uses the freshly updated U in state.pair
+    (cyx_u = Cyx U of that U)."""
     vt = state.v_tilde
     if vt.shape[0] != stats.cyy.shape[0]:
         raise DimensionMismatch(
             f"v_tilde has {vt.shape[0]} rows, view y has {stats.cyy.shape[0]}"
         )
-    cyy_vt = stats.cyy @ vt
-    g = cyy_vt - stats.cxy.T @ state.pair.u
+    if cyy_vt is None:
+        cyy_vt = stats.cyy @ vt
+    if cyx_u is None:
+        cyx_u = stats.cxy.T @ state.pair.u
+    g = cyy_vt - cyx_u
     if hp.lambda1 != 0.0:
         g = g + hp.lambda1 * ctx.q.weights[:, None] * vt
     if hp.lambda2 != 0.0:
@@ -235,15 +267,16 @@ def momentum_step(
     return m_tilde + delta_new, delta_new
 
 
-def normalize(m_tilde: np.ndarray, cov: np.ndarray, zeta: float) -> np.ndarray:
-    """Whiten m_tilde so the result W satisfies W^T cov W = I.
+def whitening_factor(m_tilde: np.ndarray, cov_m: np.ndarray, zeta: float) -> np.ndarray:
+    """The k x k factor R with (m_tilde R)^T cov (m_tilde R) = I, given
+    cov_m = cov m_tilde.
 
     Eigendecomposes the k x k Gram m_tilde^T cov m_tilde and rescales by
     (Sigma + zeta I)^(-1/2) in the eigenbasis.  zeta = 0 is allowed when the
-    Gram is safely nonsingular.
+    Gram is safely nonsingular.  cov (m_tilde R) is cov_m R.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = m_tilde.T @ cov @ m_tilde
+        gram = m_tilde.T @ cov_m
     if not np.isfinite(gram).all():
         raise NonFiniteIterate(
             "projected Gram overflowed double precision; reduce eta or rescale inputs"
@@ -254,14 +287,32 @@ def normalize(m_tilde: np.ndarray, cov: np.ndarray, zeta: float) -> np.ndarray:
     if eigvals[-1] <= 0.0:
         raise AllZeroInput("projected Gram is numerically zero; cannot whiten")
     scale = 1.0 / np.sqrt(eigvals + zeta)
-    return m_tilde @ ((eigvecs * scale) @ eigvecs.T)
+    return (eigvecs * scale) @ eigvecs.T
 
 
-def _whiten(m_tilde: np.ndarray, cov: np.ndarray, zeta: float) -> np.ndarray:
-    # one refinement pass: the first whitening leaves an O(eps * cond) residual
-    # when the Gram is ill-conditioned (early iterations); re-whitening the
-    # nearly-feasible result reduces it to rounding level
-    return normalize(normalize(m_tilde, cov, zeta), cov, zeta)
+def normalize(m_tilde: np.ndarray, cov: np.ndarray, zeta: float) -> np.ndarray:
+    """Whiten m_tilde so the result W satisfies W^T cov W = I."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov_m = cov @ m_tilde
+    return m_tilde @ whitening_factor(m_tilde, cov_m, zeta)
+
+
+def _whiten(
+    m_tilde: np.ndarray, cov: np.ndarray, zeta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W, cov m_tilde, cov W) for the whitened W, from two products with cov.
+
+    One refinement pass: the first whitening leaves an O(eps * cond) residual
+    when the Gram is ill-conditioned (early iterations); re-whitening the
+    nearly-feasible result against a freshly formed cov W1 reduces it to
+    rounding level.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov_mt = cov @ m_tilde
+        w1 = m_tilde @ whitening_factor(m_tilde, cov_mt, zeta)
+        cov_w1 = cov @ w1
+    r = whitening_factor(w1, cov_w1, zeta)
+    return w1 @ r, cov_mt, cov_w1 @ r
 
 
 def project(pair: CanonicalPair, ds: TwoViewDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -312,7 +363,7 @@ def _fit(ds, hp, stochastic, on_iteration):
         )
     u0 = rng.standard_normal((d1, k))
     v0 = rng.standard_normal((d2, k))
-    pair = CanonicalPair(u=_whiten(u0, full.cxx, zw), v=_whiten(v0, full.cyy, zw))
+    pair = CanonicalPair(u=_whiten(u0, full.cxx, zw)[0], v=_whiten(v0, full.cyy, zw)[0])
     state = SolverState(
         u_tilde=np.zeros((d1, k)),
         v_tilde=np.zeros((d2, k)),
@@ -322,31 +373,35 @@ def _fit(ds, hp, stochastic, on_iteration):
     )
     termination = Termination.MAX_ITERS
     stats = full
-    pm = pair_moments(stats, state.pair)
+    pm, cxx_ut, cyy_vt = _moments_of_state(stats, state)
 
     for it in range(1, hp.max_iters + 1):
         if subsample:
             idx = np.sort(rng.choice(n, size=m, replace=False))
             stats = second_moments(x[:, idx], y[:, idx])
-            pm = pair_moments(stats, state.pair)
+            pm, cxx_ut, cyy_vt = _moments_of_state(stats, state)
 
         ctx = build_context(pm, hp)
 
-        gu = grad_u(stats, state, ctx, hp)
+        gu = grad_u(stats, state, ctx, hp, cxx_ut, pm.cxy_v)
         state.u_tilde, state.delta_u = momentum_step(state.u_tilde, state.delta_u, gu, hp)
         if not np.isfinite(state.u_tilde).all():
             raise NonFiniteIterate("U update produced non-finite values; reduce eta")
-        state.pair = CanonicalPair(u=_whiten(state.u_tilde, stats.cxx, zw), v=state.pair.v)
+        u, cxx_ut, cxx_u = _whiten(state.u_tilde, stats.cxx, zw)
+        cyx_u = stats.cxy.T @ u
+        state.pair = CanonicalPair(u=u, v=state.pair.v)
 
-        gv = grad_v(stats, state, ctx, hp)
+        gv = grad_v(stats, state, ctx, hp, cyy_vt, cyx_u)
         state.v_tilde, state.delta_v = momentum_step(state.v_tilde, state.delta_v, gv, hp)
         if not np.isfinite(state.v_tilde).all():
             raise NonFiniteIterate("V update produced non-finite values; reduce eta")
-        state.pair = CanonicalPair(u=state.pair.u, v=_whiten(state.v_tilde, stats.cyy, zw))
+        v, cyy_vt, cyy_v = _whiten(state.v_tilde, stats.cyy, zw)
+        cxy_v = stats.cxy @ v
+        state.pair = CanonicalPair(u=u, v=v)
         state.iter = it
 
         # the next iteration's context starts from these moments (full batch)
-        pm = pair_moments(stats, state.pair)
+        pm = PairMoments.of(state.pair, cxx_u, cxy_v, cyx_u, cyy_v, stats.n)
         obj = objective(pm, hp)
         if not np.isfinite(obj):
             raise NonFiniteIterate("objective became non-finite; reduce eta")
@@ -366,8 +421,8 @@ def _fit(ds, hp, stochastic, on_iteration):
         # the loop whitened against minibatch covariances; restore the exact
         # full-batch constraints
         state.pair = CanonicalPair(
-            u=_whiten(state.u_tilde, full.cxx, zw),
-            v=_whiten(state.v_tilde, full.cyy, zw),
+            u=_whiten(state.u_tilde, full.cxx, zw)[0],
+            v=_whiten(state.v_tilde, full.cyy, zw)[0],
         )
 
     ek = np.eye(k)
@@ -381,6 +436,18 @@ def _fit(ds, hp, stochastic, on_iteration):
         final_constraint_residual_v=res_v,
         termination=termination,
         wall_seconds=time.perf_counter() - start,
+    )
+
+
+def _moments_of_state(
+    stats: SecondMoments, state: SolverState
+) -> tuple[PairMoments, np.ndarray, np.ndarray]:
+    """The pair moments and the iterates' products Cxx U~, Cyy V~ that an
+    iteration starts from, formed afresh on `stats`."""
+    return (
+        pair_moments(stats, state.pair),
+        stats.cxx @ state.u_tilde,
+        stats.cyy @ state.v_tilde,
     )
 
 

@@ -220,6 +220,43 @@ def test_config_file_error_cases(tmp_path):
     assert main(["train", "--config", str(tmp_path / "missing.json")]) == 3
 
 
+@pytest.mark.parametrize("command, values", [
+    ("train", {"k": [1]}),
+    ("train", {"iters": {"n": 3}}),
+    ("train", {"val_fraction": [0.2]}),
+    ("train", {"split_seed": "first"}),
+    ("train", {"variant": "kernel-rmen", "kernel": "gaussian", "kernel_width": [3]}),
+    ("train", {"variant": "kernel-rmen", "kernel": "bogus", "kernel_width": 3}),
+    ("train", {"variant": "bogus"}),
+    ("train", {"format": "xml"}),
+    ("train", {"model_out": 5}),
+    ("train", {"x": 5}),
+    ("compare", {"variants": 5}),
+    ("compare", {"variants": ["rmen", 1]}),
+    ("synth", {"correlations": 5}),
+    ("synth", {"correlations": "0.9,high"}),
+    ("synth", {"correlations": "0.9", "n": [100]}),
+    ("synth", {"correlations": "0.9", "format": "xml"}),
+])
+def test_config_file_values_are_typed_and_checked(tmp_path, capsys, command, values):
+    """A config-file value of the wrong type, or outside its flag's choices,
+    is a configuration error: exit 2 and one error line, no traceback."""
+    if command == "synth":
+        base = {"x_out": str(tmp_path / "x.csv"), "y_out": str(tmp_path / "y.csv")}
+    else:
+        x_path, y_path = _synth_files(tmp_path, n=60)
+        base = {"x": x_path, "y": y_path, "iters": 5}
+        if command == "compare":
+            base["variants"] = "rmen"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**base, **values}))
+    capsys.readouterr()
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_mnist_input_path(tmp_path):
     rng = np.random.default_rng(20)
     images = rng.integers(0, 256, size=(60, 4, 6), dtype=np.uint8)
@@ -339,6 +376,6 @@ def test_cli_defaults_come_from_the_dataclasses(tmp_path):
     x_path, y_path = _synth_files(tmp_path, n=50)
     cfg = parse_config(["train", "--x", x_path, "--y", y_path])
     assert cfg.hp == r.Hyperparams(k=2)
-    assert (cfg.delimiter, cfg.format, cfg.val_fraction, cfg.variant) == (",", "json", 0.2, "rmen")
+    assert (cfg.delimiter, cfg.format, cfg.val_fraction) == (",", "json", 0.2)
     assert cfg.variants == ("rmen",)
     assert cfg.split_seed == cfg.hp.seed

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rmencca as r
+from rmencca import solver
 from rmencca.errors import AllZeroInput, BatchTooLarge, DimensionMismatch, NonFiniteIterate
 from rmencca.regularizers import apply_s_inverse, build_s_inverse, l21_norm, nuclear_norm
 from rmencca.solver import (
@@ -357,6 +358,110 @@ def test_stochastic_restores_full_batch_constraints():
     report = r.fit_stochastic(ds, hp)
     assert report.final_constraint_residual_u < 1e-8 * hp.k
     assert report.final_constraint_residual_v < 1e-8 * hp.k
+
+
+def _counting_statistics(monkeypatch):
+    """Make solver.second_moments return statistics that count every matrix
+    product they take part in; returns the running count (a one-item list)."""
+    count = [0]
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                count[0] += 1
+            plain = [np.asarray(a) if isinstance(a, Counted) else a for a in inputs]
+            if "out" in kwargs:
+                kwargs["out"] = tuple(np.asarray(a) for a in kwargs["out"])
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    real = solver.second_moments
+
+    def counted(x, y):
+        s = real(x, y)
+        return solver.SecondMoments(cxx=s.cxx.view(Counted), cyy=s.cyy.view(Counted),
+                                    cxy=s.cxy.view(Counted), n=s.n)
+
+    monkeypatch.setattr(solver, "second_moments", counted)
+    return count
+
+
+def _kernel_problem():
+    ds, _ = planted(120, 6, 5, (0.8, 0.5), 0.2, seed=5)
+    return centered(ds), r.KernelSpec(kind=r.KernelKind.GAUSSIAN, width=3.0)
+
+
+@pytest.mark.parametrize("kernel", [False, True])
+@pytest.mark.parametrize("lambda2", [0.0, 0.05])
+def test_full_batch_iteration_forms_each_product_once(monkeypatch, kernel, lambda2):
+    """A full-batch iteration makes 6 products with the statistics (n x n in
+    a kernel fit) and at most one eigh of the 2k x 2k pair Gram: one when
+    lambda2 > 0, none otherwise, and no eigvalsh."""
+    k = 2
+    products = _counting_statistics(monkeypatch)
+    gram_eighs, eigvalsh_calls = [0], [0]
+    real_eigh, real_eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+    def eigh(a, *args, **kwargs):
+        gram_eighs[0] += np.shape(a) == (2 * k, 2 * k)
+        return real_eigh(a, *args, **kwargs)
+
+    def eigvalsh(a, *args, **kwargs):
+        eigvalsh_calls[0] += 1
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    seen = []
+
+    def record(i, pair):
+        seen.append((products[0], gram_eighs[0]))
+
+    hp = r.Hyperparams(k=k, lambda2=lambda2, max_iters=12, tol=0.0, seed=1)
+    if kernel:
+        ds, spec = _kernel_problem()
+        r.fit_kernel(ds, spec, spec, hp, on_iteration=record)
+    else:
+        ds, _ = planted(200, 7, 6, (0.8, 0.5), 0.2, seed=9)
+        r.fit_full(centered(ds), hp, on_iteration=record)
+    assert len(seen) == 12 and eigvalsh_calls[0] == 0
+    per_iteration = {(b[0] - a[0], b[1] - a[1]) for a, b in zip(seen, seen[1:])}
+    assert per_iteration == {(6, 1 if lambda2 else 0)}
+
+
+@pytest.mark.parametrize("kernel", [False, True])
+@pytest.mark.parametrize("penalty", [r.Penalty.L21, r.Penalty.FROBENIUS])
+@pytest.mark.parametrize("lambda2", [0.0, 0.05])
+def test_carried_pair_moments_match_fresh_ones(monkeypatch, kernel, penalty, lambda2):
+    """The pair moments a full-batch iteration hands to the next one's
+    context equal pair_moments(stats, pair) formed afresh, to 1e-10 relative."""
+    stats = []
+    real_stats, real_context = solver.second_moments, solver.build_context
+
+    def keep_stats(x, y):
+        stats.append(real_stats(x, y))
+        return stats[-1]
+
+    worst, checked = [0.0], [0]
+
+    def check_context(pm, hp):
+        checked[0] += 1
+        fresh = pair_moments(stats[-1], pm.pair)
+        for name in ("cxx_u", "cxy_v", "cyx_u", "cyy_v", "gram"):
+            got, want = getattr(pm, name), getattr(fresh, name)
+            worst[0] = max(worst[0], np.linalg.norm(got - want) / np.linalg.norm(want))
+        return real_context(pm, hp)
+
+    monkeypatch.setattr(solver, "second_moments", keep_stats)
+    monkeypatch.setattr(solver, "build_context", check_context)
+    hp = r.Hyperparams(k=2, lambda2=lambda2, penalty=penalty, max_iters=40, tol=0.0, seed=2)
+    if kernel:
+        ds, spec = _kernel_problem()
+        r.fit_kernel(ds, spec, spec, hp)
+    else:
+        ds, _ = planted(200, 7, 6, (0.8, 0.5), 0.2, seed=9)
+        r.fit_full(centered(ds), hp)
+    assert len(stats) == 1 and checked[0] == 40
+    assert worst[0] <= 1e-10
 
 
 def test_project_hand_oracle():
