@@ -53,6 +53,20 @@ FORMATS = ("json", "tsv")
 # same tuples
 _CHOICES = {"variant": VARIANTS, "kernel": KERNELS, "format": FORMATS}
 
+
+def _delimiter(value) -> str:
+    """The DSV field delimiter, from a flag or a config file: one character
+    that cannot occur in a number float() accepts (so never a letter, digit,
+    '.', '+', '-' or '_'), and not a line break, which ends a row first."""
+    if (not isinstance(value, str) or len(value) != 1 or value.isalnum()
+            or value in ".+-_\r\n"):
+        raise ConfigError(
+            f"bad --delimiter value: {value!r}; use one character that cannot "
+            "occur in a number, such as ',', ';' or a tab"
+        )
+    return value
+
+
 # CLI key -> (dataclass field, type); a key left unset takes the field's default
 _HP_FIELDS = {
     "k": ("k", int),
@@ -74,7 +88,7 @@ _SYNTH_FIELDS = {
     "seed": ("seed", int),
 }
 _OUTPUT_FIELDS = {
-    "delimiter": ("delimiter", str),
+    "delimiter": ("delimiter", _delimiter),
     "out": ("out", str),
     "format": ("format", str),
 }

@@ -1,8 +1,12 @@
 """Shared data types: views, datasets, canonical pairs, hyperparameters,
 solver state, and fit reports.
 
-Layout convention: a view is stored features x samples (d x n), so the
+Layout convention: a view is logically features x samples (d x n), so the
 projection of a view through a canonical matrix U is data.T @ U (n x k).
+It is stored sample-major: `data` is the transpose of a C-contiguous n x d
+array (F-order), so each sample's d features are contiguous in memory and a
+gather of samples (a minibatch, a train/validation split) reads whole
+contiguous samples.
 """
 from __future__ import annotations
 
@@ -31,7 +35,11 @@ def _as_matrix(a) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ViewMatrix:
-    """One view, d features x n samples.
+    """One view, d features x n samples, stored sample-major.
+
+    `data` has the logical shape (d, n) and is always F-contiguous, i.e. the
+    transpose of a C-contiguous (n, d) array; construction converts other
+    layouts (one copy) and leaves sample-major float64 data as it is.
 
     `centered` records that `feature_means` have been subtracted from the
     rows.  For the output of center() the means are the view's own sample
@@ -43,6 +51,9 @@ class ViewMatrix:
     data: np.ndarray
     feature_means: np.ndarray
     centered: bool
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "data", np.asfortranarray(self.data, dtype=np.float64))
 
     @classmethod
     def of(cls, data) -> "ViewMatrix":

@@ -2,8 +2,9 @@
 
 External formats:
 
-  * delimiter-separated matrices, one sample per row (transposed on load to
-    the internal features x samples layout)
+  * delimiter-separated matrices, one sample per row (read as the logical
+    features x samples view, which is stored sample-major: the file's rows
+    are the view's contiguous samples)
   * MNIST IDX image files (big-endian, magic 0x00000803), split into left
     and right image halves as the two views
   * a binary model container, documented in the README: 8-byte magic,
@@ -83,6 +84,16 @@ def _well_conditioned(rng: np.random.Generator, d: int) -> np.ndarray:
     return (q1 * s) @ q2.T
 
 
+def _mixed(mix: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """mix @ factors, stored sample-major in the factor buffer, which the
+    product no longer needs.  The product is taken features-major and copied:
+    (factors^T mix^T)^T would come out sample-major without the copy, but the
+    BLAS rounds it differently, so the generated numbers would change."""
+    out = factors.reshape(factors.shape[1], factors.shape[0]).T
+    out[...] = mix @ factors
+    return out
+
+
 def synth_two_view(spec: SyntheticSpec):
     """Generate paired views with known population canonical structure.
 
@@ -108,9 +119,9 @@ def synth_two_view(spec: SyntheticSpec):
     del z
     a = _well_conditioned(rng, d1)
     b = _well_conditioned(rng, d2)
-    x = a @ fx
+    x = _mixed(a, fx)
     del fx
-    y = b @ fy
+    y = _mixed(b, fy)
     del fy
     if spec.noise_scale > 0:
         noise = rng.standard_normal(x.shape)
@@ -147,8 +158,8 @@ def split_train_validation(
 
 def _take(ds: TwoViewDataset, idx: np.ndarray) -> TwoViewDataset:
     return TwoViewDataset(
-        x=ViewMatrix(np.ascontiguousarray(ds.x.data[:, idx]), ds.x.feature_means, ds.x.centered),
-        y=ViewMatrix(np.ascontiguousarray(ds.y.data[:, idx]), ds.y.feature_means, ds.y.centered),
+        x=ViewMatrix(ds.x.data[:, idx], ds.x.feature_means, ds.x.centered),
+        y=ViewMatrix(ds.y.data[:, idx], ds.y.feature_means, ds.y.centered),
     )
 
 
@@ -156,7 +167,7 @@ def _take(ds: TwoViewDataset, idx: np.ndarray) -> TwoViewDataset:
 
 def load_dsv(path: str, delimiter: str = ",") -> ViewMatrix:
     """Parse a delimiter-separated numeric table, one sample per row, into
-    the internal features x samples layout."""
+    a features x samples view whose samples are the file's rows."""
     rows: list[list[float]] = []
     width = -1
     with open(path, encoding="utf-8") as fh:
@@ -220,8 +231,8 @@ def load_mnist_halves(images_path: str) -> TwoViewDataset:
     left = images[:, :, :half].reshape(count, rows * half).T
     right = images[:, :, half:].reshape(count, rows * (cols - half)).T
     return TwoViewDataset(
-        x=ViewMatrix.of(np.ascontiguousarray(left)),
-        y=ViewMatrix.of(np.ascontiguousarray(right)),
+        x=ViewMatrix.of(left),
+        y=ViewMatrix.of(right),
     )
 
 

@@ -139,9 +139,11 @@ def fit_kernel(
         )
     gx = _build_gram(ds.x, kind_x)
     gy = _build_gram(ds.y, kind_y)
+    # the Grams are exactly symmetric, so their transposes are the same
+    # matrices already stored sample-major: no n x n copy
     dual_ds = TwoViewDataset(
-        x=ViewMatrix.of(gx.values),
-        y=ViewMatrix.of(gy.values),
+        x=ViewMatrix.of(gx.values.T),
+        y=ViewMatrix.of(gy.values.T),
     )
     report = fit_full(dual_ds, hp, on_iteration=on_iteration)
     return KernelModel(

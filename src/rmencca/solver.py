@@ -22,7 +22,8 @@ Z = [X^T U  Y^T V]) and the carried Cxx U~, Cyy V~:
   5. the objective at the new pair, from its pair moments; its Gram eigh
      is the one the next iteration's context reuses
 
-The stochastic variant draws a fresh sample subset each iteration, forms the
+The stochastic variant draws a fresh sample subset each iteration (views are
+stored sample-major, so the gather reads m contiguous samples), forms the
 subset's statistics (with 1/m scaling) and the pair's and iterates' products
 with them, and runs the same iteration on them, then restores the exact
 full-batch whitening constraints once at the end.  The kernel fit runs the
@@ -126,7 +127,7 @@ class IterationContext:
 
 
 def second_moments(x: np.ndarray, y: np.ndarray) -> SecondMoments:
-    """Statistics of two views stored features x samples (d x n)."""
+    """Statistics of two views, each logically features x samples (d x n)."""
     n = x.shape[1]
     # in-place scaling: no second d x d temporary, which matters for the
     # n x n "views" of a kernel fit

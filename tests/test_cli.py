@@ -237,6 +237,10 @@ def test_config_file_error_cases(tmp_path):
     ("synth", {"correlations": "0.9,high"}),
     ("synth", {"correlations": "0.9", "n": [100]}),
     ("synth", {"correlations": "0.9", "format": "xml"}),
+    ("train", {"delimiter": 5}),
+    ("train", {"delimiter": ",,"}),
+    ("compare", {"delimiter": "e"}),
+    ("synth", {"correlations": "0.9", "delimiter": "-"}),
 ])
 def test_config_file_values_are_typed_and_checked(tmp_path, capsys, command, values):
     """A config-file value of the wrong type, or outside its flag's choices,
@@ -255,6 +259,32 @@ def test_config_file_values_are_typed_and_checked(tmp_path, capsys, command, val
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not (tmp_path / "r.json").exists()
+
+
+def test_delimiter_is_one_character_outside_numbers(tmp_path, capsys):
+    """--delimiter is one character that no number float() accepts can hold
+    (tab included); any other value is a configuration error, exit 2 with one
+    error line, before a file is read or written."""
+    x_path, y_path = str(tmp_path / "x.tsv"), str(tmp_path / "y.tsv")
+    model = str(tmp_path / "model.rmen")
+    synth = ["synth", "--correlations", "0.9", "--n", "60", "--d1", "3", "--d2", "2"]
+    assert main(synth + ["--x-out", x_path, "--y-out", y_path, "--delimiter=\t",
+                         "--out", str(tmp_path / "s.json")]) == 0
+    train = ["train", "--x", x_path, "--y", y_path, "--k", "1", "--iters", "5"]
+    assert main(train + ["--delimiter=\t", "--model-out", model,
+                         "--out", str(tmp_path / "t.json")]) == 0
+    evaluate = ["eval", "--model", model, "--x", x_path, "--y", y_path]
+    assert main(evaluate + ["--delimiter=\t", "--out", str(tmp_path / "e.json")]) == 0
+    assert main(train + ["--delimiter=;", "--out", str(tmp_path / "t2.json")]) == 5
+
+    new_x, new_y = str(tmp_path / "new_x.tsv"), str(tmp_path / "new_y.tsv")
+    for bad in (",,", "", ".", "+", "-", "_", "e", "7", "\n"):
+        for argv in (synth + ["--x-out", new_x, "--y-out", new_y], train, evaluate):
+            capsys.readouterr()
+            assert main(argv + [f"--delimiter={bad}"]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: bad --delimiter value")
+    assert not (tmp_path / "new_x.tsv").exists()
 
 
 def test_mnist_input_path(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rmencca as r
+from rmencca import kernel
 from rmencca.errors import (
     DegenerateInput,
     DimensionMismatch,
@@ -105,6 +106,28 @@ def test_cross_gram_matches_loop_and_checks_features():
     assert np.allclose(r.cross_gram(lin, test), test.data.T @ train.data)
     with pytest.raises(DimensionMismatch):
         r.cross_gram(gram, r.ViewMatrix.of(rng.standard_normal((4, 7))))
+
+
+def test_fit_kernel_passes_its_grams_without_a_copy(monkeypatch):
+    """The dual views are the (exactly symmetric) Grams themselves, read
+    sample-major through their transposes: no n x n copy is made."""
+    ds = centered(planted(40, 3, 2, (0.8,), 0.2, seed=23)[0])
+    seen = []
+    fit_full = kernel.fit_full
+
+    def recording_fit(dual_ds, hp, on_iteration=None):
+        seen.append(dual_ds)
+        return fit_full(dual_ds, hp, on_iteration=on_iteration)
+
+    monkeypatch.setattr(kernel, "fit_full", recording_fit)
+    km = r.fit_kernel(ds, r.KernelSpec(kind=r.KernelKind.GAUSSIAN, width=1.5),
+                      r.KernelSpec(kind=r.KernelKind.LINEAR),
+                      r.Hyperparams(k=1, max_iters=3, tol=0.0, seed=0))
+    (dual,) = seen
+    for view, gram in ((dual.x, km.gram_x), (dual.y, km.gram_y)):
+        assert np.shares_memory(view.data, gram.values)
+        assert view.data.flags.f_contiguous
+        assert np.array_equal(view.data, gram.values)
 
 
 def test_kernel_fit_keeps_dual_constraints():

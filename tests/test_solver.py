@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import textwrap
@@ -351,6 +352,23 @@ def test_stochastic_full_batch_is_bitwise_identical():
     assert a.objective_trace == b.objective_trace
 
 
+def test_minibatch_gather_reads_contiguous_samples(monkeypatch):
+    """Every batch handed to second_moments is sample-major, as the full
+    views are, so each sample's features are one contiguous run."""
+    ds = centered(planted(300, 6, 5, (0.8, 0.6), 0.2, seed=21)[0])
+    shapes = []
+    original = solver.second_moments
+
+    def recording(x, y):
+        assert x.flags.f_contiguous and y.flags.f_contiguous
+        shapes.append(x.shape[1])
+        return original(x, y)
+
+    monkeypatch.setattr(solver, "second_moments", recording)
+    r.fit_stochastic(ds, r.Hyperparams(k=2, batch_size=32, max_iters=7, tol=0.0, seed=2))
+    assert shapes == [300] + [32] * 7
+
+
 def test_stochastic_restores_full_batch_constraints():
     ds, _ = planted(500, 8, 6, (0.8, 0.5), 0.3, seed=13)
     ds = centered(ds)
@@ -510,9 +528,15 @@ _MEMORY_SCRIPT = textwrap.dedent("""
 def test_million_sample_fit_stays_linear_in_memory():
     """Minibatch fit at n = 10^6, d = 50 completes with peak memory a small
     multiple of the data size (an n x n Gram would need terabytes)."""
+    # the child imports the same rmencca package as this test process
+    package_root = os.path.dirname(os.path.dirname(r.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
     out = subprocess.run(
         [sys.executable, "-c", _MEMORY_SCRIPT],
-        capture_output=True, text=True, timeout=540, check=True,
+        capture_output=True, text=True, timeout=540, check=True, env=env,
     )
     res_u, res_v, iters, peak_kb = out.stdout.split()
     assert float(res_u) < 3e-8 and float(res_v) < 3e-8
