@@ -8,8 +8,8 @@ Subcommands:
   compare  fit several variants on the same split, one report row each
 
 Flags may also come from a JSON config file (--config); explicit flags
-override file values.  Reports are deterministic for a fixed config and
-seed except the wall-time fields.
+override file values.  Reports are deterministic for a fixed config,
+seed and BLAS thread count except the wall-time fields.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ from .core import (
     center_with_means,
 )
 from .data_io import (
+    MODEL_VERSION,
     ModelFile,
     SyntheticSpec,
     load_dsv,
@@ -437,7 +438,7 @@ def _fit_variant(variant: str, train_ds: TwoViewDataset, cfg: RunConfig) -> tupl
         "wall_seconds": wall,
     }
     model = ModelFile(
-        version=1, hp=hp,
+        version=MODEL_VERSION, hp=hp,
         means_x=train_ds.x.feature_means, means_y=train_ds.y.feature_means,
         pair=pair, kernel=km,
     )

@@ -5,17 +5,19 @@ Cxx = XX^T/n, Cyy = YY^T/n, Cxy = XY^T/n and of the current pair (U, V), so
 a fit forms the statistics once (one O(n d^2) pass) and each iteration then
 costs O(d^2 k), independent of n.  Each product of a statistic with a d x k
 block is formed once and carried to every later use, so a full-batch
-iteration makes 6 of them (with n x n statistics in a kernel fit) and one
-eigh of the 2k x 2k pair Gram.  One iteration, given the current true pair,
+iteration makes 4 of them (with n x n statistics in a kernel fit), plus one
+for each whitening pass that needs refining (see _whiten), and one eigh of
+the 2k x 2k pair Gram.  One iteration, given the current true pair,
 its pair moments (Cxx U, Cxy V, Cyx U, Cyy V and the Gram of
 Z = [X^T U  Y^T V]) and the carried Cxx U~, Cyy V~:
 
   1. factor the S-inverse operator from the eigh of the pair Gram, and build
      the half-quadratic diagonals P (from U) and Q (from V) (build_context)
   2. gradient step on the unnormalized U-tilde from the carried Cxx U~ and
-     Cxy V; form Cxx U~ at the new U-tilde and whiten against Cxx in two
-     passes, the second (refinement) pass on a freshly formed Cxx U1, which
-     also yields Cxx U; form Cyx U
+     Cxy V; form Cxx U~ at the new U-tilde and whiten against Cxx, which
+     also yields Cxx U; a second (refinement) pass on a freshly formed
+     Cxx U1 runs only when the first pass's error bound is above 1e-10;
+     form Cyx U
   3. gradient step on V-tilde from the carried Cyy V~ and Cyx U of the
      freshly whitened U; whiten the same way against Cyy; form Cxy V
   4. assemble the new pair moments from these products with k x k work
@@ -64,6 +66,9 @@ from .regularizers import (  # noqa: F401  nuclear_norm: see below
 # wrap this module's regularizer bindings by name.
 
 _CONVERGENCE_WINDOW = 5
+_EPS = float(np.finfo(np.float64).eps)
+# the whitening error bound below which _whiten skips its refinement pass
+_REFINE_BOUND = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,9 +273,11 @@ def momentum_step(
     return m_tilde + delta_new, delta_new
 
 
-def whitening_factor(m_tilde: np.ndarray, cov_m: np.ndarray, zeta: float) -> np.ndarray:
+def whitening_factor(
+    m_tilde: np.ndarray, cov_m: np.ndarray, zeta: float
+) -> tuple[np.ndarray, float]:
     """The k x k factor R with (m_tilde R)^T cov (m_tilde R) = I, given
-    cov_m = cov m_tilde.
+    cov_m = cov m_tilde, and the smallest eigenvalue of the Gram it whitens.
 
     Eigendecomposes the k x k Gram m_tilde^T cov m_tilde and rescales by
     (Sigma + zeta I)^(-1/2) in the eigenbasis.  zeta = 0 is allowed when the
@@ -288,31 +295,45 @@ def whitening_factor(m_tilde: np.ndarray, cov_m: np.ndarray, zeta: float) -> np.
     if eigvals[-1] <= 0.0:
         raise AllZeroInput("projected Gram is numerically zero; cannot whiten")
     scale = 1.0 / np.sqrt(eigvals + zeta)
-    return (eigvecs * scale) @ eigvecs.T
+    return (eigvecs * scale) @ eigvecs.T, float(eigvals[0])
 
 
 def normalize(m_tilde: np.ndarray, cov: np.ndarray, zeta: float) -> np.ndarray:
     """Whiten m_tilde so the result W satisfies W^T cov W = I."""
     with np.errstate(over="ignore", invalid="ignore"):
         cov_m = cov @ m_tilde
-    return m_tilde @ whitening_factor(m_tilde, cov_m, zeta)
+    return m_tilde @ whitening_factor(m_tilde, cov_m, zeta)[0]
 
 
 def _whiten(
     m_tilde: np.ndarray, cov: np.ndarray, zeta: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(W, cov m_tilde, cov W) for the whitened W, from two products with cov.
+    """(W, cov m_tilde, cov W) for the whitened W, from one product with cov,
+    or two when the first pass may be short of rounding level.
 
-    One refinement pass: the first whitening leaves an O(eps * cond) residual
-    when the Gram is ill-conditioned (early iterations); re-whitening the
-    nearly-feasible result against a freshly formed cov W1 reduces it to
-    rounding level.
+    The first pass whitens against G = m_tilde^T cov m_tilde.  Its relative
+    error in the constraint is bounded by
+
+      beta = (d eps tr(cov) ||m_tilde||_F^2 + zeta) / (lambda_min(G) + zeta)
+
+    (d = cov.shape[0], eps = machine epsilon): the first term bounds the
+    rounding error of the computed G (for PSD cov, |cov_ij| <=
+    sqrt(cov_ii cov_jj), so || |cov| || <= tr cov), the second the smoothing
+    bias zeta / (lambda + zeta) the pass leaves behind.  When beta <= 1e-10,
+    two orders below the 1e-8 per-dimension residual budget, W1 is returned
+    with cov W1 = (cov m_tilde) R1, k x k work.  Otherwise (ill-conditioned
+    early iterations) W1 is re-whitened against a freshly formed cov W1,
+    which brings the residual to rounding level.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         cov_mt = cov @ m_tilde
-        w1 = m_tilde @ whitening_factor(m_tilde, cov_mt, zeta)
+        r1, lam_min = whitening_factor(m_tilde, cov_mt, zeta)
+        w1 = m_tilde @ r1
+        rounding = cov.shape[0] * _EPS * np.trace(cov) * float((m_tilde * m_tilde).sum())
+        if rounding + zeta <= _REFINE_BOUND * (lam_min + zeta):
+            return w1, cov_mt, cov_mt @ r1
         cov_w1 = cov @ w1
-    r = whitening_factor(w1, cov_w1, zeta)
+    r = whitening_factor(w1, cov_w1, zeta)[0]
     return w1 @ r, cov_mt, cov_w1 @ r
 
 

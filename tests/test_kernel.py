@@ -142,6 +142,33 @@ def test_kernel_fit_keeps_dual_constraints():
     assert model.w_y.shape == (120, 2)
 
 
+def test_kernel_whitening_constraints_hold_every_iteration():
+    """Both dual feasibility residuals stay within 1e-8 * k after every
+    iteration of a Gaussian-kernel fit, whose statistics K K / n have
+    condition numbers above 1e16."""
+    rng = np.random.default_rng(6)
+    z = rng.uniform(-1.0, 1.0, size=400)
+    x = np.vstack([np.sin(3 * np.pi * z), 0.3 * rng.standard_normal(400)])
+    y = np.vstack([z, 0.3 * rng.standard_normal(400)])
+    ds = centered(r.TwoViewDataset(x=r.ViewMatrix.of(x), y=r.ViewMatrix.of(y)))
+    sx = r.KernelSpec(kind=r.KernelKind.GAUSSIAN, width=0.7)
+    sy = r.KernelSpec(kind=r.KernelKind.GAUSSIAN, width=0.15)
+    covs = []
+    for view, spec in ((ds.x, sx), (ds.y, sy)):
+        gram = r.gram_gaussian(view, spec.width).values
+        covs.append(gram @ gram / ds.n)
+    worst = 0.0
+
+    def watch(_i, pair):
+        nonlocal worst
+        for w, cov in zip((pair.u, pair.v), covs):
+            worst = max(worst, float(np.linalg.norm(w.T @ cov @ w - np.eye(w.shape[1]))))
+
+    hp = r.Hyperparams(k=2, eta=0.0065, gamma=0.99, max_iters=600, tol=0.0, seed=0)
+    r.fit_kernel(ds, sx, sy, hp, on_iteration=watch)
+    assert worst <= 1e-8 * hp.k
+
+
 def test_gaussian_kernel_tracks_nonlinear_relation():
     """A sinusoidal link between the views defeats linear CCA but not the
     Gaussian-kernel solver."""

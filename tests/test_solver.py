@@ -403,6 +403,20 @@ def _counting_statistics(monkeypatch):
     return count
 
 
+def _counting_factors(monkeypatch):
+    """Count solver.whitening_factor calls: two per full-batch iteration, plus
+    one for each whitening pass that refines; returns the running count."""
+    count = [0]
+    real = solver.whitening_factor
+
+    def counted(*args):
+        count[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(solver, "whitening_factor", counted)
+    return count
+
+
 def _kernel_problem():
     ds, _ = planted(120, 6, 5, (0.8, 0.5), 0.2, seed=5)
     return centered(ds), r.KernelSpec(kind=r.KernelKind.GAUSSIAN, width=3.0)
@@ -411,11 +425,13 @@ def _kernel_problem():
 @pytest.mark.parametrize("kernel", [False, True])
 @pytest.mark.parametrize("lambda2", [0.0, 0.05])
 def test_full_batch_iteration_forms_each_product_once(monkeypatch, kernel, lambda2):
-    """A full-batch iteration makes 6 products with the statistics (n x n in
-    a kernel fit) and at most one eigh of the 2k x 2k pair Gram: one when
+    """A full-batch iteration makes 4 products with the statistics (n x n in
+    a kernel fit), one more for each whitening pass that refines (6 when
+    both do), and at most one eigh of the 2k x 2k pair Gram: one when
     lambda2 > 0, none otherwise, and no eigvalsh."""
     k = 2
     products = _counting_statistics(monkeypatch)
+    factors = _counting_factors(monkeypatch)
     gram_eighs, eigvalsh_calls = [0], [0]
     real_eigh, real_eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
@@ -432,7 +448,7 @@ def test_full_batch_iteration_forms_each_product_once(monkeypatch, kernel, lambd
     seen = []
 
     def record(i, pair):
-        seen.append((products[0], gram_eighs[0]))
+        seen.append((products[0], gram_eighs[0], factors[0]))
 
     hp = r.Hyperparams(k=k, lambda2=lambda2, max_iters=12, tol=0.0, seed=1)
     if kernel:
@@ -442,8 +458,41 @@ def test_full_batch_iteration_forms_each_product_once(monkeypatch, kernel, lambd
         ds, _ = planted(200, 7, 6, (0.8, 0.5), 0.2, seed=9)
         r.fit_full(centered(ds), hp, on_iteration=record)
     assert len(seen) == 12 and eigvalsh_calls[0] == 0
-    per_iteration = {(b[0] - a[0], b[1] - a[1]) for a, b in zip(seen, seen[1:])}
-    assert per_iteration == {(6, 1 if lambda2 else 0)}
+    per_iteration = [tuple(bi - ai for ai, bi in zip(a, b)) for a, b in zip(seen, seen[1:])]
+    # two whitening passes per iteration; each factor beyond them is a
+    # refinement pass
+    refinements = [f - 2 for _, _, f in per_iteration]
+    assert all(0 <= extra <= 2 for extra in refinements)
+    assert [p for p, _, _ in per_iteration] == [4 + extra for extra in refinements]
+    assert {e for _, e, _ in per_iteration} == {1 if lambda2 else 0}
+    # the skip is exercised on every problem
+    assert 0 in refinements
+
+
+def test_whitening_refines_when_the_bound_asks(monkeypatch):
+    """On near-collinear statistics (one feature a copy of another up to
+    1e-7 relative noise) with a small step, the whitening bound sends some
+    passes through the refinement, and every iteration keeps both residuals
+    within 1e-8 * k.  The bound's smoothing term is what catches these: the
+    first pass's Gram is computed accurately, but its smallest eigenvalue is
+    small enough that the smoothing leaves a residual above the budget."""
+    ds, _ = planted(2000, 12, 9, (0.9, 0.7, 0.5), 0.1, seed=0)
+    x = ds.x.data.copy()
+    noise = np.random.default_rng(0).standard_normal(ds.n)
+    x[1] = x[0] * (1.0 + 1e-7 * noise)
+    ds = centered(r.TwoViewDataset(x=r.ViewMatrix.of(x), y=ds.y))
+    factors = _counting_factors(monkeypatch)
+    seen, worst = [], [0.0]
+
+    def watch(_i, pair):
+        seen.append(factors[0])
+        worst[0] = max(worst[0], *r.constraint_residual(pair, ds))
+
+    hp = r.Hyperparams(k=3, eta=1e-4, max_iters=200, tol=0.0, seed=0)
+    r.fit_full(ds, hp, on_iteration=watch)
+    # the first count also holds the initial whitening, so start after it
+    assert any(b - a > 2 for a, b in zip(seen, seen[1:]))
+    assert worst[0] <= 1e-8 * hp.k
 
 
 @pytest.mark.parametrize("kernel", [False, True])
