@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import CanonicalPair, Hyperparams, Penalty, TwoViewDataset
 from .errors import RankBudgetTooLarge, SingularCovariance
-from .solver import normalize
+from .solver import inverse_sqrt, second_moments
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,20 +36,15 @@ def cca_closed_form(
     root; None picks 1e-8 * trace(cov)/d per view, a scale-aware floor.  An
     explicit ridge of 0 demands genuinely nonsingular covariances.
     """
-    x, y = ds.x.data, ds.y.data
-    n, d1, d2 = ds.n, ds.x.d, ds.y.d
+    d1, d2 = ds.x.d, ds.y.d
     if k < 1 or k > min(d1, d2):
         raise RankBudgetTooLarge(f"k={k} exceeds min(d1, d2) = {min(d1, d2)}")
-    cov_x = x @ x.T / n
-    cov_y = y @ y.T / n
-    cross = x @ y.T / n
-    wx = _inv_sqrt(cov_x, ridge)
-    wy = _inv_sqrt(cov_y, ridge)
-    left, svals, right_t = np.linalg.svd(wx @ cross @ wy)
-    u = wx @ left[:, :k]
-    v = wy @ right_t[:k].T
-    u = _exact_rewhiten(u, cov_x)
-    v = _exact_rewhiten(v, cov_y)
+    stats = second_moments(ds.x.data, ds.y.data)
+    wx = _inv_sqrt(stats.cxx, ridge)
+    wy = _inv_sqrt(stats.cyy, ridge)
+    left, svals, right_t = np.linalg.svd(wx @ stats.cxy @ wy)
+    u = _exact_rewhiten(wx @ left[:, :k], stats.cxx)
+    v = _exact_rewhiten(wy @ right_t[:k].T, stats.cyy)
     corr = np.clip(svals[:k], 0.0, 1.0)
     return CCASolution(
         pair=CanonicalPair(u=u, v=v),
@@ -69,27 +64,22 @@ def men_cca_mode(hp: Hyperparams) -> Hyperparams:
 
 
 def _inv_sqrt(cov: np.ndarray, ridge: float | None) -> np.ndarray:
-    d = cov.shape[0]
     if ridge is None:
-        ridge = 1e-8 * float(np.trace(cov)) / d
+        ridge = 1e-8 * float(np.trace(cov)) / cov.shape[0]
     if ridge < 0.0:
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
-    eigvals = np.maximum(eigvals, 0.0)
-    if ridge == 0.0 and eigvals.min() < 1e-12:
+    factor, eigvals = inverse_sqrt(cov, ridge)
+    if ridge == 0.0 and eigvals[0] < 1e-12:
         raise SingularCovariance(
-            f"covariance eigenvalue {eigvals.min():.3e} below 1e-12 with ridge=0"
+            f"covariance eigenvalue {eigvals[0]:.3e} below 1e-12 with ridge=0"
         )
-    scale = 1.0 / np.sqrt(eigvals + ridge)
-    return (eigvecs * scale) @ eigvecs.T
+    return factor
 
 
 def _exact_rewhiten(m: np.ndarray, cov: np.ndarray) -> np.ndarray:
     # the ridge perturbs the whitening constraint by O(ridge/eig); one exact
     # normalization pass removes it without moving the subspace
-    gram = m.T @ cov @ m
-    gram = 0.5 * (gram + gram.T)
-    eigvals = np.linalg.eigvalsh(gram)
+    factor, eigvals = inverse_sqrt(m.T @ (cov @ m), 0.0)
     if eigvals[0] <= 1e-10 * max(eigvals[-1], 1.0):
         return m
-    return normalize(m, cov, 0.0)
+    return m @ factor

@@ -93,11 +93,6 @@ _OUTPUT_FIELDS = {
     "out": ("out", str),
     "format": ("format", str),
 }
-_COMMON_KEYS = tuple(_HP_FIELDS) + tuple(_OUTPUT_FIELDS) + (
-    "x", "y", "mnist", "variant", "variants", "kernel", "kernel_width",
-    "val_fraction", "split_seed", "model_out", "model",
-)
-_SYNTH_KEYS = tuple(_SYNTH_FIELDS) + tuple(_OUTPUT_FIELDS) + ("correlations", "x_out", "y_out")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -132,33 +127,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_variant: bool) -> None:
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--x", help="view X as DSV, one sample per row")
-        p.add_argument("--y", help="view Y as DSV, one sample per row")
-        p.add_argument("--mnist", help="IDX image file; views are the left/right halves")
-        if with_variant:
-            p.add_argument("--variant", choices=VARIANTS)
-        p.add_argument("--k", type=int)
-        p.add_argument("--lambda1", type=float)
-        p.add_argument("--lambda2", type=float)
-        p.add_argument("--eta", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--zeta", type=float)
-        p.add_argument("--iters", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--batch-size", type=int, dest="batch_size")
-        p.add_argument("--kernel", choices=KERNELS)
-        p.add_argument("--kernel-width", type=float, dest="kernel_width")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--val-fraction", type=float, dest="val_fraction")
-        p.add_argument("--split-seed", type=int, dest="split_seed")
-        p.add_argument("--delimiter")
-        p.add_argument("--out")
-        p.add_argument("--format", choices=FORMATS)
+    # flags shared by several commands, each declared once
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--config", help="JSON config file; flags override its values")
+    output.add_argument("--delimiter")
+    output.add_argument("--out")
+    output.add_argument("--format", choices=FORMATS)
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--x", help="view X as DSV, one sample per row")
+    inputs.add_argument("--y", help="view Y as DSV, one sample per row")
+    inputs.add_argument("--mnist", help="IDX image file; views are the left/right halves")
+    fitting = argparse.ArgumentParser(add_help=False)
+    fitting.add_argument("--k", type=int)
+    fitting.add_argument("--lambda1", type=float)
+    fitting.add_argument("--lambda2", type=float)
+    fitting.add_argument("--eta", type=float)
+    fitting.add_argument("--gamma", type=float)
+    fitting.add_argument("--zeta", type=float)
+    fitting.add_argument("--iters", type=int)
+    fitting.add_argument("--tol", type=float)
+    fitting.add_argument("--batch-size", type=int, dest="batch_size")
+    fitting.add_argument("--kernel", choices=KERNELS)
+    fitting.add_argument("--kernel-width", type=float, dest="kernel_width")
+    fitting.add_argument("--seed", type=int)
+    fitting.add_argument("--val-fraction", type=float, dest="val_fraction")
+    fitting.add_argument("--split-seed", type=int, dest="split_seed")
 
-    p_synth = sub.add_parser("synth", help="generate planted two-view data")
-    p_synth.add_argument("--config")
+    p_synth = sub.add_parser("synth", parents=[output], help="generate planted two-view data")
     p_synth.add_argument("--n", type=int)
     p_synth.add_argument("--d1", type=int)
     p_synth.add_argument("--d2", type=int)
@@ -167,39 +162,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=int)
     p_synth.add_argument("--x-out", dest="x_out")
     p_synth.add_argument("--y-out", dest="y_out")
-    p_synth.add_argument("--delimiter")
-    p_synth.add_argument("--out")
-    p_synth.add_argument("--format", choices=FORMATS)
 
-    p_train = sub.add_parser("train", help="fit one variant and evaluate held out")
-    add_common(p_train, with_variant=True)
+    p_train = sub.add_parser("train", parents=[output, inputs, fitting],
+                             help="fit one variant and evaluate held out")
+    p_train.add_argument("--variant", choices=VARIANTS)
     p_train.add_argument("--model-out", dest="model_out")
 
-    p_eval = sub.add_parser("eval", help="evaluate a saved model on new data")
-    p_eval.add_argument("--config")
+    p_eval = sub.add_parser("eval", parents=[output, inputs],
+                            help="evaluate a saved model on new data")
     p_eval.add_argument("--model")
-    p_eval.add_argument("--x")
-    p_eval.add_argument("--y")
-    p_eval.add_argument("--mnist")
-    p_eval.add_argument("--delimiter")
-    p_eval.add_argument("--out")
-    p_eval.add_argument("--format", choices=FORMATS)
 
-    p_cmp = sub.add_parser("compare", help="fit several variants on one split")
-    add_common(p_cmp, with_variant=False)
+    p_cmp = sub.add_parser("compare", parents=[output, inputs, fitting],
+                           help="fit several variants on one split")
     p_cmp.add_argument("--variants", help="comma-separated subset of: " + ",".join(VARIANTS))
 
     return parser
 
 
-def _merge(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
-    """Config-file values overridden by explicitly passed flags."""
+def _merge(args: argparse.Namespace) -> dict:
+    """Config-file values overridden by explicitly passed flags; the valid
+    keys are the command's own flags."""
+    keys = [key for key in vars(args) if key not in ("command", "config")]
     file_vals: dict = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        if not os.path.isfile(config_path):
-            raise FileNotFoundError(f"config file not found: {config_path}")
-        with open(config_path, encoding="utf-8") as fh:
+    if args.config:
+        if not os.path.isfile(args.config):
+            raise FileNotFoundError(f"config file not found: {args.config}")
+        with open(args.config, encoding="utf-8") as fh:
             try:
                 file_vals = json.load(fh)
             except json.JSONDecodeError as exc:
@@ -211,7 +199,7 @@ def _merge(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     merged = {}
     for key in keys:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         merged[key] = flag if flag is not None else file_vals.get(key)
         allowed = _CHOICES.get(key)
         if allowed and merged[key] is not None and merged[key] not in allowed:
@@ -311,9 +299,9 @@ def _inputs(vals: dict) -> dict:
 def parse_config(argv: list[str] | None) -> RunConfig:
     args = _build_parser().parse_args(argv)
     command = args.command
+    vals = _merge(args)
 
     if command == "synth":
-        vals = _merge(args, _SYNTH_KEYS)
         corr_raw = vals.get("correlations")
         if corr_raw is None:
             raise ConfigError("synth requires --correlations")
@@ -338,7 +326,6 @@ def parse_config(argv: list[str] | None) -> RunConfig:
         )
 
     if command == "eval":
-        vals = _merge(args, ("model", "x", "y", "mnist") + tuple(_OUTPUT_FIELDS))
         model_path = _require_file(vals.get("model"), "--model")
         inputs = _inputs(vals)
         _check_out_dir(vals.get("out"))
@@ -347,7 +334,6 @@ def parse_config(argv: list[str] | None) -> RunConfig:
             **_given(vals, _OUTPUT_FIELDS),
         )
 
-    vals = _merge(args, _COMMON_KEYS)
     if command == "train":
         variants = (_pick(vals, "variant", DEFAULT_VARIANT),)
     else:
@@ -372,8 +358,6 @@ def parse_config(argv: list[str] | None) -> RunConfig:
         raise ConfigError(f"--val-fraction must lie in (0, 1), got {val_fraction}")
     _check_out_dir(vals.get("out"))
     _check_out_dir(vals.get("model_out"))
-    if vals.get("model_out") and command == "compare":
-        raise ConfigError("--model-out applies to train only")
     return RunConfig(
         command=command,
         hp=hp,

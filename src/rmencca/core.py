@@ -88,10 +88,6 @@ class CanonicalPair:
     u: np.ndarray
     v: np.ndarray
 
-    @property
-    def k(self) -> int:
-        return self.u.shape[1]
-
 
 class Penalty(str, enum.Enum):
     """Row penalty mode for the lambda1 term: l21 (default) or plain Frobenius."""
@@ -117,6 +113,8 @@ class Hyperparams:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be a positive integer")
+        if not np.isfinite([self.lambda1, self.lambda2, self.eta, self.zeta, self.tol]).all():
+            raise ValueError("lambda1, lambda2, eta, zeta and tol must be finite")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("lambda1 and lambda2 must be nonnegative")
         if self.eta <= 0:

@@ -29,7 +29,12 @@ from .errors import (
     TruncatedFile,
     VersionMismatch,
 )
-from .kernel import GramMatrix, KernelKind, KernelModel, KernelSpec, gram_gaussian, gram_linear
+from .kernel import KernelKind, KernelModel, KernelSpec, build_gram
+from .kernel import gram_gaussian, gram_linear  # noqa: F401  see below
+
+# gram_gaussian and gram_linear are not called here (load_model rebuilds its
+# Grams through kernel.build_gram); they stay bound because tracing tools such
+# as perfbench/spans.py wrap this module's Gram bindings by name.
 
 MODEL_MAGIC = b"RMENCCA\x00"
 MODEL_VERSION = 1
@@ -297,13 +302,16 @@ def _write_hp(fh, hp: Hyperparams) -> None:
 def _read_hp(fh) -> Hyperparams:
     raw = _read_exact(fh, struct.calcsize(_HP_STRUCT), "hyperparameters")
     k, l1, l2, eta, gamma, zeta, iters, tol, batch, seed, pen = struct.unpack(_HP_STRUCT, raw)
-    return Hyperparams(
-        k=k, lambda1=l1, lambda2=l2, eta=eta, gamma=gamma, zeta=zeta,
-        max_iters=iters, tol=tol,
-        batch_size=None if batch < 0 else batch,
-        seed=seed,
-        penalty=Penalty.L21 if pen == 0 else Penalty.FROBENIUS,
-    )
+    try:
+        return Hyperparams(
+            k=k, lambda1=l1, lambda2=l2, eta=eta, gamma=gamma, zeta=zeta,
+            max_iters=iters, tol=tol,
+            batch_size=None if batch < 0 else batch,
+            seed=seed,
+            penalty=Penalty.L21 if pen == 0 else Penalty.FROBENIUS,
+        )
+    except ValueError as exc:
+        raise CorruptFile(f"invalid hyperparameters: {exc}") from None
 
 
 def _write_kernel_spec(fh, spec: KernelSpec) -> None:
@@ -374,19 +382,13 @@ def load_model(path: str) -> ModelFile:
         _expect_eof(fh, path)
     km = KernelModel(
         w_x=w_x, w_y=w_y,
-        gram_x=_rebuild_gram(train_x, spec_x),
-        gram_y=_rebuild_gram(train_y, spec_y),
+        gram_x=build_gram(train_x, spec_x),
+        gram_y=build_gram(train_y, spec_y),
         report=None,
     )
     return ModelFile(
         version=version, hp=hp, means_x=means_x, means_y=means_y, kernel=km,
     )
-
-
-def _rebuild_gram(view: ViewMatrix, spec: KernelSpec) -> GramMatrix:
-    if spec.kind is KernelKind.GAUSSIAN:
-        return gram_gaussian(view, spec.width)
-    return gram_linear(view)
 
 
 def _expect_eof(fh, path: str) -> None:

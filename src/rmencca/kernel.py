@@ -57,10 +57,6 @@ class GramMatrix:
     spec: KernelSpec
     train_points: ViewMatrix
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class KernelModel:
@@ -74,14 +70,23 @@ class KernelModel:
     report: FitReport | None
 
 
+def _evaluate(spec: KernelSpec, a: ViewMatrix, b: ViewMatrix) -> np.ndarray:
+    """a.n x b.n matrix of kernel(a_i, b_j).  Passing one view as both a and
+    b makes the inner product x^T x, which numpy forms as a symmetric
+    product."""
+    if spec.kind is KernelKind.LINEAR:
+        return a.data.T @ b.data
+    sq_a = (a.data * a.data).sum(axis=0)
+    sq_b = (b.data * b.data).sum(axis=0)
+    dist = sq_a[:, None] + sq_b[None, :] - 2.0 * (a.data.T @ b.data)
+    np.maximum(dist, 0.0, out=dist)
+    return np.exp(-dist / (2.0 * spec.width * spec.width))
+
+
 def gram_gaussian(view: ViewMatrix, width: float) -> GramMatrix:
     """values[i][j] = exp(-||x_i - x_j||^2 / (2 width^2))."""
     spec = KernelSpec(kind=KernelKind.GAUSSIAN, width=width)
-    x = view.data
-    sq = (x * x).sum(axis=0)
-    dist = sq[:, None] + sq[None, :] - 2.0 * (x.T @ x)
-    np.maximum(dist, 0.0, out=dist)
-    values = np.exp(-dist / (2.0 * width * width))
+    values = _evaluate(spec, view, view)
     values = 0.5 * (values + values.T)
     np.fill_diagonal(values, 1.0)
     return GramMatrix(values=values, spec=spec, train_points=view)
@@ -89,13 +94,10 @@ def gram_gaussian(view: ViewMatrix, width: float) -> GramMatrix:
 
 def gram_linear(view: ViewMatrix) -> GramMatrix:
     """values = X^T X."""
-    values = view.data.T @ view.data
+    spec = KernelSpec(kind=KernelKind.LINEAR)
+    values = _evaluate(spec, view, view)
     values = 0.5 * (values + values.T)
-    return GramMatrix(
-        values=values,
-        spec=KernelSpec(kind=KernelKind.LINEAR),
-        train_points=view,
-    )
+    return GramMatrix(values=values, spec=spec, train_points=view)
 
 
 def cross_gram(gram: GramMatrix, test: ViewMatrix) -> np.ndarray:
@@ -106,17 +108,16 @@ def cross_gram(gram: GramMatrix, test: ViewMatrix) -> np.ndarray:
         raise DimensionMismatch(
             f"test view has {test.d} features, training view has {train.d}"
         )
-    if gram.spec.kind is KernelKind.LINEAR:
-        return test.data.T @ train.data
-    width = gram.spec.width
-    sq_test = (test.data * test.data).sum(axis=0)
-    sq_train = (train.data * train.data).sum(axis=0)
-    dist = sq_test[:, None] + sq_train[None, :] - 2.0 * (test.data.T @ train.data)
-    np.maximum(dist, 0.0, out=dist)
-    return np.exp(-dist / (2.0 * width * width))
+    return _evaluate(gram.spec, test, train)
 
 
-def _build_gram(view: ViewMatrix, spec: KernelSpec) -> GramMatrix:
+def build_gram(view: ViewMatrix, spec: KernelSpec) -> GramMatrix:
+    """The Gram of `view` under `spec`, for fitting and for loading a model
+    alike; refuses more samples than an n x n Gram is allowed for."""
+    if view.n > _MAX_KERNEL_SAMPLES:
+        raise TooLargeForKernel(
+            f"n={view.n} would materialize an n x n Gram; limit is {_MAX_KERNEL_SAMPLES}"
+        )
     if spec.kind is KernelKind.GAUSSIAN:
         return gram_gaussian(view, spec.width)
     return gram_linear(view)
@@ -133,12 +134,8 @@ def fit_kernel(
     n = ds.n
     if n < 2:
         raise DegenerateInput(f"kernel fit needs at least 2 samples, got {n}")
-    if n > _MAX_KERNEL_SAMPLES:
-        raise TooLargeForKernel(
-            f"n={n} would materialize an n x n Gram; limit is {_MAX_KERNEL_SAMPLES}"
-        )
-    gx = _build_gram(ds.x, kind_x)
-    gy = _build_gram(ds.y, kind_y)
+    gx = build_gram(ds.x, kind_x)
+    gy = build_gram(ds.y, kind_y)
     # the Grams are exactly symmetric, so their transposes are the same
     # matrices already stored sample-major: no n x n copy
     dual_ds = TwoViewDataset(

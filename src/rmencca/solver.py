@@ -50,6 +50,7 @@ from .core import (
     validate_dataset,
 )
 from .errors import AllZeroInput, DimensionMismatch, NonFiniteIterate
+from .metrics import _residual
 from .regularizers import (  # noqa: F401  nuclear_norm: see below
     HQDiagonal,
     SInverseOperator,
@@ -273,15 +274,29 @@ def momentum_step(
     return m_tilde + delta_new, delta_new
 
 
+def inverse_sqrt(sym: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """(F, lam): F = Q (Lam + shift I)^(-1/2) Q^T from the eigh Q Lam Q^T of
+    the symmetrized sym, with the eigenvalues lam clipped at 0 (ascending).
+
+    shift = 0 with a zero eigenvalue gives an infinite F without a warning;
+    each caller checks lam for the case it cannot use.
+    """
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (sym + sym.T))
+    eigvals = np.maximum(eigvals, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = 1.0 / np.sqrt(eigvals + shift)
+        return (eigvecs * scale) @ eigvecs.T, eigvals
+
+
 def whitening_factor(
     m_tilde: np.ndarray, cov_m: np.ndarray, zeta: float
 ) -> tuple[np.ndarray, float]:
     """The k x k factor R with (m_tilde R)^T cov (m_tilde R) = I, given
     cov_m = cov m_tilde, and the smallest eigenvalue of the Gram it whitens.
 
-    Eigendecomposes the k x k Gram m_tilde^T cov m_tilde and rescales by
-    (Sigma + zeta I)^(-1/2) in the eigenbasis.  zeta = 0 is allowed when the
-    Gram is safely nonsingular.  cov (m_tilde R) is cov_m R.
+    R is the inverse square root of the k x k Gram m_tilde^T cov m_tilde
+    shifted by zeta.  zeta = 0 is allowed when the Gram is safely
+    nonsingular.  cov (m_tilde R) is cov_m R.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gram = m_tilde.T @ cov_m
@@ -289,13 +304,10 @@ def whitening_factor(
         raise NonFiniteIterate(
             "projected Gram overflowed double precision; reduce eta or rescale inputs"
         )
-    gram = 0.5 * (gram + gram.T)
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    eigvals = np.maximum(eigvals, 0.0)
+    factor, eigvals = inverse_sqrt(gram, zeta)
     if eigvals[-1] <= 0.0:
         raise AllZeroInput("projected Gram is numerically zero; cannot whiten")
-    scale = 1.0 / np.sqrt(eigvals + zeta)
-    return (eigvecs * scale) @ eigvecs.T, float(eigvals[0])
+    return factor, float(eigvals[0])
 
 
 def normalize(m_tilde: np.ndarray, cov: np.ndarray, zeta: float) -> np.ndarray:
@@ -447,15 +459,12 @@ def _fit(ds, hp, stochastic, on_iteration):
             v=_whiten(state.v_tilde, full.cyy, zw)[0],
         )
 
-    ek = np.eye(k)
-    res_u = float(np.linalg.norm(state.pair.u.T @ full.cxx @ state.pair.u - ek))
-    res_v = float(np.linalg.norm(state.pair.v.T @ full.cyy @ state.pair.v - ek))
     return FitReport(
         pair=state.pair,
         iterations_run=state.iter,
         objective_trace=tuple(state.objective_trace),
-        final_constraint_residual_u=res_u,
-        final_constraint_residual_v=res_v,
+        final_constraint_residual_u=_residual(state.pair.u, full.cxx),
+        final_constraint_residual_v=_residual(state.pair.v, full.cyy),
         termination=termination,
         wall_seconds=time.perf_counter() - start,
     )

@@ -241,10 +241,18 @@ def test_config_file_error_cases(tmp_path):
     ("train", {"delimiter": ",,"}),
     ("compare", {"delimiter": "e"}),
     ("synth", {"correlations": "0.9", "delimiter": "-"}),
+    ("train", {"variants": "rmen,appgrad"}),
+    ("train", {"model": "m.bin"}),
+    ("compare", {"variant": "men"}),
+    ("train", {"lambda1": float("nan")}),
+    ("train", {"zeta": float("inf")}),
+    ("train", {"tol": float("nan")}),
+    ("compare", {"lambda2": float("inf")}),
 ])
 def test_config_file_values_are_typed_and_checked(tmp_path, capsys, command, values):
-    """A config-file value of the wrong type, or outside its flag's choices,
-    is a configuration error: exit 2 and one error line, no traceback."""
+    """A config-file key that is not one of the command's flags, or a value of
+    the wrong type, outside its flag's choices or not finite, is a
+    configuration error: exit 2 and one error line, no traceback."""
     if command == "synth":
         base = {"x_out": str(tmp_path / "x.csv"), "y_out": str(tmp_path / "y.csv")}
     else:
@@ -328,15 +336,22 @@ def test_distinct_exit_codes(tmp_path):
     oversized = tmp_path / "oversized.rmen"
     oversized.write_bytes(raw[:u_shape_at] + struct.pack("<Q", 1 << 33) + raw[u_shape_at + 8:])
     assert main(["eval", "--model", str(oversized), "--x", x_path, "--y", y_path]) == 10
+    # the stored k rewritten to 0: the hyperparameter block is corrupt, not
+    # a bad flag; k is the block's first field, after magic, version and kind
+    zero_k = tmp_path / "zero_k.rmen"
+    zero_k.write_bytes(raw[:13] + struct.pack("<I", 0) + raw[17:])
+    assert main(["eval", "--model", str(zero_k), "--x", x_path, "--y", y_path]) == 10
 
     assert main(["train", "--x", str(tmp_path / "nope.csv"), "--y", y_path]) == 3
     assert main(["train", "--x", x_path, "--y", y_path, "--k", "0"]) == 2
+    assert main(["train", "--x", x_path, "--y", y_path, "--eta", "nan"]) == 2
     assert main(["train", "--x", x_path, "--y", y_path, "--k", "99"]) == 13
 
     # a model of 6 and 5 features evaluated on views of 4 and 5 features
     narrow = tmp_path / "narrow.csv"
-    narrow.write_text("\n".join(",".join(line.split(",")[:4])
-                                for line in open(x_path, encoding="utf-8").read().splitlines()))
+    with open(x_path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    narrow.write_text("\n".join(",".join(line.split(",")[:4]) for line in lines))
     assert main(["eval", "--model", str(model), "--x", str(narrow), "--y", y_path]) == 15
 
     # an IDX file with no images, and one whose images are one pixel wide

@@ -105,6 +105,13 @@ def test_hyperparams_accepts_penalty_string():
         {"k": 2, "tol": -1e-9},
         {"k": 2, "batch_size": 0},
         {"k": 2, "seed": -1},
+        {"k": 2, "lambda1": float("nan")},
+        {"k": 2, "lambda2": float("inf")},
+        {"k": 2, "eta": float("nan")},
+        {"k": 2, "eta": float("inf")},
+        {"k": 2, "zeta": float("inf")},
+        {"k": 2, "tol": float("nan")},
+        {"k": 2, "tol": float("inf")},
     ],
 )
 def test_hyperparams_validation(kwargs):

@@ -1,5 +1,8 @@
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -336,6 +339,61 @@ def test_kernel_model_round_trip(tmp_path):
     a1, b1 = r.project_kernel(back.kernel, probe_x, probe_y)
     assert np.array_equal(a0, a1)
     assert np.array_equal(b0, b1)
+
+
+_OVERSIZED_KERNEL_SCRIPT = """
+import resource
+import sys
+
+# an address-space cap below one 20001 x 20001 Gram (3.2 GB): a loader that
+# tried to build it fails at once instead of paging
+resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+
+import rmencca as r
+from rmencca.cli import main
+
+model, x_path, y_path = sys.argv[1:]
+try:
+    r.load_model(model)
+    print("loaded")
+except r.errors.TooLargeForKernel:
+    print("refused")
+print(main(["eval", "--model", model, "--x", x_path, "--y", y_path]))
+"""
+
+
+def test_load_model_refuses_more_kernel_samples_than_a_fit_allows(tmp_path):
+    """A kernel model file of 20001 one-feature training points is small,
+    but its Grams would not be: load_model applies fit_kernel's sample limit
+    before building them (TooLargeForKernel, eval exit 22).  The check runs
+    in a child process under an address-space cap."""
+    n = 20001
+    points = r.ViewMatrix.of(np.linspace(-1.0, 1.0, n)[None, :])
+    grams = [r.GramMatrix(values=np.empty((0, 0)), spec=spec, train_points=points)
+             for spec in (r.KernelSpec(kind=r.KernelKind.GAUSSIAN, width=1.0),
+                          r.KernelSpec(kind=r.KernelKind.LINEAR))]
+    km = r.KernelModel(w_x=np.ones((n, 1)), w_y=np.ones((n, 1)),
+                       gram_x=grams[0], gram_y=grams[1], report=None)
+    model = tmp_path / "large_kernel.rmen"
+    r.save_model(r.ModelFile(version=r.MODEL_VERSION, hp=r.Hyperparams(k=1),
+                             means_x=np.zeros(1), means_y=np.zeros(1), kernel=km),
+                 str(model))
+    assert model.stat().st_size < 700_000
+    x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
+    x_path.write_text("0\n1\n2\n")
+    y_path.write_text("1\n0\n2\n")
+
+    package_root = os.path.dirname(os.path.dirname(r.__file__))
+    # one BLAS thread, so the BLAS buffers' address space stays within the cap
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _OVERSIZED_KERNEL_SCRIPT, str(model), str(x_path), str(y_path)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert out.stdout.split() == ["refused", "22"], out.stderr
 
 
 def test_save_model_requires_exactly_one_payload(tmp_path):
