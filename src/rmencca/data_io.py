@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,9 +171,45 @@ def _take(ds: TwoViewDataset, idx: np.ndarray) -> TwoViewDataset:
 
 # ---------------------------------------------------------------- DSV files
 
+# ASCII separators that numpy strips from the ends of a field as whitespace
+# but float() does not
+_SEPARATORS_FLOAT_KEEPS = "\x1c\x1d\x1e\x1f"
+
+
 def load_dsv(path: str, delimiter: str = ",") -> ViewMatrix:
     """Parse a delimiter-separated numeric table, one sample per row, into
-    a features x samples view whose samples are the file's rows."""
+    a features x samples view whose samples are the file's rows.
+
+    numpy's C reader parses the file first.  What it accepts, the line parser
+    accepts with the same values: both convert the same ASCII text with the
+    same strtod.  A file it refuses or warns about (blank-only lines, a field
+    float() reads but it does not, such as '1_0' or non-ASCII digits, an
+    empty file, bytes that are not UTF-8), or one with a line it would read
+    differently, is parsed again line by line, which gives the values or the
+    error with its line number."""
+    try:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # an open handle, not the path: numpy would decompress a '.gz'
+            # path or fetch a URL-like one
+            table = np.loadtxt(_lines_float_agrees_on(fh, delimiter), delimiter=delimiter,
+                               ndmin=2, comments=None, dtype=np.float64)
+    except (ValueError, Warning):
+        return _load_dsv_lines(path, delimiter)
+    return ViewMatrix.of(table.T)
+
+
+def _lines_float_agrees_on(fh, delimiter: str):
+    """fh's lines, stopping with ValueError at one that holds a separator
+    numpy and float() would read differently."""
+    kept = [ch for ch in _SEPARATORS_FLOAT_KEEPS if ch != delimiter]
+    for line in fh:
+        if any(ch in line for ch in kept):
+            raise ValueError("a field may end in an ASCII separator")
+        yield line
+
+
+def _load_dsv_lines(path: str, delimiter: str = ",") -> ViewMatrix:
     rows: list[list[float]] = []
     width = -1
     with open(path, encoding="utf-8") as fh:
@@ -199,14 +236,20 @@ def load_dsv(path: str, delimiter: str = ",") -> ViewMatrix:
     return ViewMatrix.of(np.asarray(rows, dtype=np.float64).T)
 
 
+# rows formatted by one "%" operation in save_dsv: enough to keep the
+# formatting in C, few enough that one block's text stays small
+_SAVE_BLOCK_ROWS = 1024
+
+
 def save_dsv(view: ViewMatrix, path: str, delimiter: str = ",") -> None:
     """Write samples as rows at 17 significant digits (lossless for
     float64)."""
     data = view.data.T
+    row = delimiter.join(["%.17g"] * data.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for row in data:
-            fh.write(delimiter.join("%.17g" % v for v in row))
-            fh.write("\n")
+        for start in range(0, data.shape[0], _SAVE_BLOCK_ROWS):
+            block = data[start:start + _SAVE_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 # -------------------------------------------------------------- MNIST halves
@@ -367,6 +410,8 @@ def load_model(path: str) -> ModelFile:
             u = _read_matrix(fh, "U")
             v = _read_matrix(fh, "V")
             _expect_eof(fh, path)
+            _expect_rows(path, "U", u, len(means_x), "means_x entries")
+            _expect_rows(path, "V", v, len(means_y), "means_y entries")
             return ModelFile(
                 version=version, hp=hp, means_x=means_x, means_y=means_y,
                 pair=CanonicalPair(u=u, v=v),
@@ -380,6 +425,8 @@ def load_model(path: str) -> ModelFile:
         w_x = _read_matrix(fh, "W_X")
         w_y = _read_matrix(fh, "W_Y")
         _expect_eof(fh, path)
+    _expect_rows(path, "W_X", w_x, train_x.n, "training points")
+    _expect_rows(path, "W_Y", w_y, train_y.n, "training points")
     km = KernelModel(
         w_x=w_x, w_y=w_y,
         gram_x=build_gram(train_x, spec_x),
@@ -394,3 +441,8 @@ def load_model(path: str) -> ModelFile:
 def _expect_eof(fh, path: str) -> None:
     if fh.read(1):
         raise CorruptFile(f"{path}: trailing bytes after model payload")
+
+
+def _expect_rows(path: str, what: str, m: np.ndarray, rows: int, of: str) -> None:
+    if m.shape[0] != rows:
+        raise CorruptFile(f"{path}: {what} has {m.shape[0]} rows for {rows} {of}")

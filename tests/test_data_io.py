@@ -3,17 +3,26 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rmencca as r
+from rmencca import data_io
+from rmencca.cli import _delimiter, main
 from rmencca.errors import (
     BadMagic,
+    ConfigError,
     CorruptFile,
     EmptyInput,
     NonNumericField,
     RaggedRows,
+    RmenccaError,
     TruncatedFile,
     VersionMismatch,
 )
@@ -174,6 +183,154 @@ def test_dsv_error_reporting(tmp_path):
         r.load_dsv(str(empty))
     with pytest.raises(FileNotFoundError):
         r.load_dsv(str(tmp_path / "missing.csv"))
+
+
+def _parse_outcome(parse, path, delimiter):
+    """What a DSV parser makes of a file: the shape and bytes of the values,
+    or the error class and message."""
+    try:
+        data = parse(path, delimiter).data
+    except RmenccaError as exc:
+        return type(exc), str(exc)
+    assert data.flags.f_contiguous
+    return data.shape, data.tobytes()
+
+
+def _accepted_delimiter(ch):
+    try:
+        _delimiter(ch)
+    except ConfigError:
+        return False
+    return True
+
+
+_NUMBERS = st.sampled_from(["0", "1", "-2.5", "3e4", "1.25e-7", "nan", "-inf", "42",
+                            "5e-324", "1e500", "-0", "+.5", "Infinity"])
+# whitespace around a field; float() keeps the ASCII separators \x1c-\x1f
+_PADS = st.sampled_from(["", "", "", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\u3000"])
+_FIELDS = st.one_of(
+    st.builds("".join, st.tuples(_PADS, _NUMBERS, _PADS)),
+    st.lists(st.sampled_from([
+        "0", "7", "12", ".", "-", "+", "e", "E", "e-3", "nan", "inf", "_", "1_0",
+        "#", '"', " ", "\t", "\x1c", "\xa0", "\u0661", "\ufeff", "\x00", "0x1",
+    ]), max_size=3).map("".join),
+)
+_DELIMITERS = st.one_of(
+    st.sampled_from([",", ";", "\t", " ", "|", ":", "\x1f"]),
+    st.characters(codec="utf-8").filter(_accepted_delimiter),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    delimiter=_DELIMITERS,
+    rows=st.lists(st.lists(_FIELDS, min_size=1, max_size=4), max_size=4),
+    breaks=st.lists(st.sampled_from(["\n", "\r", "\r\n", "\n\n", "\n \n", "\n\t\n"]),
+                    min_size=4, max_size=4),
+    head=st.sampled_from(["", "", " ", "\n", "\t", "\ufeff"]),
+)
+def test_load_dsv_agrees_with_the_line_parser(delimiter, rows, breaks, head):
+    """The C reader's result, whenever load_dsv keeps it, is what the line
+    parser gives: the same values bit for bit, or the same error."""
+    text = head + "".join(delimiter.join(fields) + end for fields, end in zip(rows, breaks))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.txt")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert (_parse_outcome(r.load_dsv, path, delimiter)
+                == _parse_outcome(data_io._load_dsv_lines, path, delimiter))
+
+
+@pytest.mark.parametrize("text, delimiter, want, fallback", [
+    # float() reads these fields, numpy's C reader does not
+    ("1_0,2\n", ",", [[10.0, 2.0]], True),
+    ("\u0661,2\n", ",", [[1.0, 2.0]], True),
+    # a whitespace-only line is skipped
+    ("1,2\n \t\n3,4\n", ",", [[1.0, 2.0], [3.0, 4.0]], True),
+    # a row that starts with the tab delimiter
+    ("\t1\t2\n3\t4\n", "\t", [[1.0, 2.0], [3.0, 4.0]], True),
+    # an ASCII separator around a field: numpy strips it, float() does not
+    ("1\x1c,2\n", ",", NonNumericField, True),
+    ("1,2\x1c\n", ",", [[1.0, 2.0]], True),
+    ("1\x1f2\n", "\x1f", [[1.0, 2.0]], False),
+    ("1,2\n\ufeff3,4\n", ",", NonNumericField, True),
+    ("\ufeff1,2\n", ",", NonNumericField, True),
+    ("1,2\n3,4,5\n", ",", RaggedRows, True),
+    ("", ",", EmptyInput, True),
+    ("\n  \n\t\n", ",", EmptyInput, True),
+    # lone carriage returns end lines for both readers
+    ("1,2\r3,4\r", ",", [[1.0, 2.0], [3.0, 4.0]], False),
+    (" 1 ; -inf \n\n3e4;nan\n", ";", [[1.0, -np.inf], [3e4, np.nan]], False),
+])
+def test_load_dsv_falls_back_to_the_line_parser(tmp_path, monkeypatch, text, delimiter,
+                                                want, fallback):
+    calls = []
+    line_parser = data_io._load_dsv_lines
+
+    def spy(path, delim):
+        calls.append(path)
+        return line_parser(path, delim)
+
+    monkeypatch.setattr(data_io, "_load_dsv_lines", spy)
+    p = tmp_path / "table.txt"
+    p.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if isinstance(want, type):
+            with pytest.raises(want):
+                r.load_dsv(str(p), delimiter)
+        else:
+            got = r.load_dsv(str(p), delimiter).data
+            assert np.array_equal(got, np.array(want).T, equal_nan=True)
+            assert got.flags.f_contiguous
+    assert caught == []
+    assert len(calls) == int(fallback)
+    assert (_parse_outcome(r.load_dsv, str(p), delimiter)
+            == _parse_outcome(line_parser, str(p), delimiter))
+
+
+def test_load_dsv_refuses_text_that_is_not_utf8(tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes("1,2\n3,4\xe9\n".encode("latin-1"))
+    with pytest.raises(NonNumericField, match="not UTF-8"):
+        r.load_dsv(str(p))
+    assert (_parse_outcome(r.load_dsv, str(p), ",")
+            == _parse_outcome(data_io._load_dsv_lines, str(p), ","))
+
+
+@pytest.mark.parametrize("delimiter, digests", [
+    (",", ("2688587464bf09239e95db0b13d672061e5a122652728d5db89a6c11f166598d",
+           "674ee9dd1d8dff72caab95c8cc42f29463678fe0a49b454795847c23078e1084")),
+    ("\t", ("9db097efa081a60328a30501957dd49389117306626cbdc6f924c8002691f9c4",
+            "273a10be676ad247fb1af194ce16a4a079685eb1f236c9dd1fc5587e43cb0536")),
+])
+def test_synth_files_are_pinned(tmp_path, delimiter, digests):
+    """The bytes synth writes are pinned, for 2100 rows: two full blocks of
+    save_dsv's row formatting and a partial one."""
+    x_path, y_path = tmp_path / "x.txt", tmp_path / "y.txt"
+    assert main(["synth", "--n", "2100", "--d1", "20", "--d2", "16",
+                 "--correlations", "0.9,0.5", "--noise", "0.3", "--seed", "3",
+                 f"--delimiter={delimiter}", "--x-out", str(x_path),
+                 "--y-out", str(y_path), "--out", str(tmp_path / "s.json")]) == 0
+    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (x_path, y_path))
+    assert got == digests
+
+
+@pytest.mark.parametrize("n", [1, 1025])
+def test_save_dsv_writes_every_value_at_17_digits(tmp_path, n):
+    specials = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308]
+    rng = np.random.default_rng(n)
+    data_shape = (len(specials), n)
+    data = rng.standard_normal(data_shape) * 10.0 ** rng.integers(-300, 300, data_shape)
+    data[:, 0] = specials
+    data[:, -1] = specials[::-1]
+    view = r.ViewMatrix.of(data)
+    for delimiter in (",", "\t"):
+        p = tmp_path / "specials.txt"
+        r.save_dsv(view, str(p), delimiter)
+        want = "".join(delimiter.join("%.17g" % v for v in row) + "\n" for row in data.T)
+        assert p.read_bytes() == want.encode("utf-8")
+        assert r.load_dsv(str(p), delimiter).data.tobytes() == view.data.tobytes()
 
 
 # -------------------------------------------------------------- MNIST halves
@@ -453,3 +610,41 @@ def test_model_file_corruption_detection(tmp_path):
         raw[:u_shape_at] + struct.pack("<Q", 1 << 32) + raw[u_shape_at + 8:])
     with pytest.raises(CorruptFile):
         r.load_model(str(oversized))
+
+
+def test_model_matrices_must_fit_their_means_and_training_points(tmp_path, capsys):
+    """A canonical matrix whose row count does not match its means (linear)
+    or its training points (kernel) makes a corrupt file: eval exits 10 and
+    names the matrix, instead of failing in a product."""
+    ds, _ = planted(30, 2, 2, (0.8,), 0.2, seed=16)
+    ds = centered(ds)
+    x_path, y_path = str(tmp_path / "x.csv"), str(tmp_path / "y.csv")
+    r.save_dsv(ds.x, x_path)
+    r.save_dsv(ds.y, y_path)
+    hp = r.Hyperparams(k=1, max_iters=20, tol=0.0, seed=0)
+    rng = np.random.default_rng(17)
+    pair = r.CanonicalPair(u=rng.standard_normal((2, 1)), v=rng.standard_normal((2, 1)))
+    linear = r.ModelFile(version=r.MODEL_VERSION, hp=hp, means_x=ds.x.feature_means,
+                         means_y=ds.y.feature_means, pair=pair)
+    gauss = r.KernelSpec(kind=r.KernelKind.GAUSSIAN, width=2.0)
+    km = r.fit_kernel(ds, gauss, gauss, hp)
+    kernel = replace(linear, pair=None, kernel=km)
+    extra = rng.standard_normal((3, 1))
+    cases = {
+        "U": replace(linear, pair=replace(pair, u=np.vstack([pair.u, extra[:1]]))),
+        "V": replace(linear, pair=replace(pair, v=pair.v[:1])),
+        "W_X": replace(kernel, kernel=replace(km, w_x=np.vstack([km.w_x, extra]))),
+        "W_Y": replace(kernel, kernel=replace(km, w_y=km.w_y[:29])),
+    }
+    good = tmp_path / "good.rmen"
+    r.save_model(kernel, str(good))
+    assert main(["eval", "--model", str(good), "--x", x_path, "--y", y_path,
+                 "--out", str(tmp_path / "good.json")]) == 0
+    for name, model in cases.items():
+        p = tmp_path / f"{name}.rmen"
+        r.save_model(model, str(p))
+        with pytest.raises(CorruptFile, match=f"{name} has"):
+            r.load_model(str(p))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(p), "--x", x_path, "--y", y_path]) == 10
+        assert f"{name} has" in capsys.readouterr().err
