@@ -245,7 +245,8 @@ def save_dsv(view: ViewMatrix, path: str, delimiter: str = ",") -> None:
     """Write samples as rows at 17 significant digits (lossless for
     float64)."""
     data = view.data.T
-    row = delimiter.join(["%.17g"] * data.shape[1]) + "\n"
+    # the delimiter is literal text in the template, so a '%' is doubled
+    row = delimiter.replace("%", "%%").join(["%.17g"] * data.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, data.shape[0], _SAVE_BLOCK_ROWS):
             block = data[start:start + _SAVE_BLOCK_ROWS]

@@ -216,7 +216,7 @@ _FIELDS = st.one_of(
     ]), max_size=3).map("".join),
 )
 _DELIMITERS = st.one_of(
-    st.sampled_from([",", ";", "\t", " ", "|", ":", "\x1f"]),
+    st.sampled_from([",", ";", "\t", " ", "|", ":", "%", "\x1f"]),
     st.characters(codec="utf-8").filter(_accepted_delimiter),
 )
 
@@ -325,12 +325,49 @@ def test_save_dsv_writes_every_value_at_17_digits(tmp_path, n):
     data[:, 0] = specials
     data[:, -1] = specials[::-1]
     view = r.ViewMatrix.of(data)
-    for delimiter in (",", "\t"):
+    for delimiter in (",", "\t", "%", ";", "|"):
         p = tmp_path / "specials.txt"
         r.save_dsv(view, str(p), delimiter)
         want = "".join(delimiter.join("%.17g" % v for v in row) + "\n" for row in data.T)
         assert p.read_bytes() == want.encode("utf-8")
         assert r.load_dsv(str(p), delimiter).data.tobytes() == view.data.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    delimiter=_DELIMITERS,
+    data=st.integers(1, 4).flatmap(lambda d: st.lists(
+        # text keeps no NaN payload, so the one NaN drawn is the default one
+        st.lists(st.floats(allow_nan=False) | st.just(float("nan")), min_size=d, max_size=d),
+        min_size=1, max_size=3)),
+)
+def test_save_dsv_writes_the_per_value_join_for_every_delimiter(delimiter, data):
+    """Whatever delimiter the CLI accepts, save_dsv writes each value with
+    its own "%.17g", and the file loads back bit for bit."""
+    table = np.array(data, dtype=np.float64)
+    view = r.ViewMatrix.of(table.T)
+    want = "".join(delimiter.join("%.17g" % v for v in row) + "\n" for row in table)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.txt")
+        r.save_dsv(view, path, delimiter)
+        with open(path, "rb") as fh:
+            assert fh.read() == want.encode("utf-8")
+        assert r.load_dsv(path, delimiter).data.tobytes() == view.data.tobytes()
+
+
+def test_synth_writes_percent_delimited_files(tmp_path):
+    """'%' is literal text in a row, not part of the number format."""
+    paths = {}
+    for delimiter in (",", "%"):
+        paths[delimiter] = (tmp_path / f"x{ord(delimiter)}.txt", tmp_path / f"y{ord(delimiter)}.txt")
+        assert main(["synth", "--n", "30", "--d1", "4", "--d2", "3",
+                     "--correlations", "0.9", "--seed", "1", f"--delimiter={delimiter}",
+                     "--x-out", str(paths[delimiter][0]), "--y-out", str(paths[delimiter][1]),
+                     "--out", str(tmp_path / "s.json")]) == 0
+    for comma_path, percent_path in zip(paths[","], paths["%"]):
+        assert percent_path.read_bytes() == comma_path.read_bytes().replace(b",", b"%")
+        assert (r.load_dsv(str(percent_path), "%").data.tobytes()
+                == r.load_dsv(str(comma_path)).data.tobytes())
 
 
 # -------------------------------------------------------------- MNIST halves
