@@ -411,8 +411,9 @@ def load_model(path: str) -> ModelFile:
             u = _read_matrix(fh, "U")
             v = _read_matrix(fh, "V")
             _expect_eof(fh, path)
-            _expect_rows(path, "U", u, len(means_x), "means_x entries")
-            _expect_rows(path, "V", v, len(means_y), "means_y entries")
+            _expect_count(path, "U", u.shape[0], "rows", len(means_x), "means_x entries")
+            _expect_count(path, "V", v.shape[0], "rows", len(means_y), "means_y entries")
+            _expect_columns(path, hp.k, ("U", u), ("V", v))
             return ModelFile(
                 version=version, hp=hp, means_x=means_x, means_y=means_y,
                 pair=CanonicalPair(u=u, v=v),
@@ -426,8 +427,12 @@ def load_model(path: str) -> ModelFile:
         w_x = _read_matrix(fh, "W_X")
         w_y = _read_matrix(fh, "W_Y")
         _expect_eof(fh, path)
-    _expect_rows(path, "W_X", w_x, train_x.n, "training points")
-    _expect_rows(path, "W_Y", w_y, train_y.n, "training points")
+    _expect_count(path, "train_x", train_x.d, "features", len(means_x), "means_x entries")
+    _expect_count(path, "train_y", train_y.d, "features", len(means_y), "means_y entries")
+    _expect_count(path, "train_y", train_y.n, "samples", train_x.n, "train_x samples")
+    _expect_count(path, "W_X", w_x.shape[0], "rows", train_x.n, "training points")
+    _expect_count(path, "W_Y", w_y.shape[0], "rows", train_y.n, "training points")
+    _expect_columns(path, hp.k, ("W_X", w_x), ("W_Y", w_y))
     km = KernelModel(
         w_x=w_x, w_y=w_y,
         gram_x=build_gram(train_x, spec_x),
@@ -444,6 +449,11 @@ def _expect_eof(fh, path: str) -> None:
         raise CorruptFile(f"{path}: trailing bytes after model payload")
 
 
-def _expect_rows(path: str, what: str, m: np.ndarray, rows: int, of: str) -> None:
-    if m.shape[0] != rows:
-        raise CorruptFile(f"{path}: {what} has {m.shape[0]} rows for {rows} {of}")
+def _expect_count(path: str, what: str, got: int, unit: str, want: int, of: str) -> None:
+    if got != want:
+        raise CorruptFile(f"{path}: {what} has {got} {unit} for {want} {of}")
+
+
+def _expect_columns(path: str, k: int, *named: tuple[str, np.ndarray]) -> None:
+    for what, m in named:
+        _expect_count(path, what, m.shape[1], "columns", k, "canonical dimensions (k)")

@@ -2,27 +2,48 @@
 
 The kernel problem is the same optimization with the two n x n Gram
 matrices standing in for the views and dual matrices (W_X, W_Y) standing in
-for (U, V), so fitting delegates to the main solver unchanged.  Grams are
-not centered in feature space; input views are centered in input space
-before they get here.
+for (U, V).  fit_kernel forms the statistics Kx Kx / n, Ky Ky / n and
+Kx Ky / n itself and runs the solver's loop (solver.fit_moments) on them.
+A Gram whose numerical rank r, the count of its eigenvalues above
+n eps lambda_max, is at most n/4 keeps its statistic as its eigenfactor
+(solver.LowRank, 2 n r values read per product instead of n^2); the cross
+statistic goes through the factored view of smaller rank and is dense only
+when neither view factors, in which case the fit is the dense one bit for
+bit.  The factored statistics differ from the dense ones at rounding level,
+so trajectories stay deterministic for a seed and BLAS thread count but
+move around the 7th significant digit of the objective.  Grams are not
+centered in feature space; input views are centered in input space before
+they get here.
 """
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import solver
 from .core import FitReport, Hyperparams, TwoViewDataset, ViewMatrix
 from .errors import (
     DegenerateInput,
     DimensionMismatch,
     InvalidKernelParam,
+    NonFiniteEntry,
+    NonFiniteIterate,
+    RankBudgetTooLarge,
+    SampleCountMismatch,
     TooLargeForKernel,
 )
-from .solver import fit_full
+from .solver import LowRank, SecondMoments, fit_full, fit_moments  # noqa: F401
+
+# fit_full is not called here (fit_kernel runs solver.fit_moments on the
+# statistics it forms); it stays bound because tracing tools such as
+# perfbench/spans.py wrap this module's fit_full binding by name.
 
 _MAX_KERNEL_SAMPLES = 20000
+_EPS = float(np.finfo(np.float64).eps)
+_OVERFLOW = "Gram overflowed double precision; rescale the inputs"
 
 
 class KernelKind(str, enum.Enum):
@@ -130,19 +151,32 @@ def fit_kernel(
     hp: Hyperparams,
     on_iteration=None,
 ) -> KernelModel:
-    """Build both Grams and run the full-batch solver on them as views."""
+    """Build both Grams, form the statistics of the dual problem from them
+    and run the full-batch iteration on those statistics."""
     n = ds.n
     if n < 2:
         raise DegenerateInput(f"kernel fit needs at least 2 samples, got {n}")
+    # the checks fit_full makes on a fit whose views are the two Grams,
+    # made on the input views
+    if hp.batch_size is not None:
+        raise ValueError("hp.batch_size is set; use fit_stochastic")
+    if ds.y.n != n:
+        raise SampleCountMismatch(f"view x has {n} samples but view y has {ds.y.n}")
+    for name, view in (("x", ds.x), ("y", ds.y)):
+        if not np.isfinite(view.data).all():
+            raise NonFiniteEntry(f"view {name} contains non-finite entries")
+    if hp.k > n:
+        raise RankBudgetTooLarge(f"k={hp.k} exceeds the sample count n={n}")
+    start = time.perf_counter()
+    # each eigh runs while as few n x n arrays as possible are alive: Kx is
+    # factored before Ky exists, and Ky is probed first
     gx = build_gram(ds.x, kind_x)
+    fx = _eigenfactor(gx.values)
     gy = build_gram(ds.y, kind_y)
-    # the Grams are exactly symmetric, so their transposes are the same
-    # matrices already stored sample-major: no n x n copy
-    dual_ds = TwoViewDataset(
-        x=ViewMatrix.of(gx.values.T),
-        y=ViewMatrix.of(gy.values.T),
-    )
-    report = fit_full(dual_ds, hp, on_iteration=on_iteration)
+    fy = _eigenfactor(gy.values, probe=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = _statistics(gx.values, fx, gy.values, fy)
+    report = fit_moments(stats, hp, on_iteration, start=start)
     return KernelModel(
         w_x=report.pair.u,
         w_y=report.pair.v,
@@ -150,6 +184,65 @@ def fit_kernel(
         gram_y=gy,
         report=report,
     )
+
+
+def _kept(vals: np.ndarray) -> np.ndarray | None:
+    """Mask of the n ascending eigenvalues of a Gram that its factor keeps,
+    those above n eps lambda_max, or None when that is more than n/4."""
+    if not np.isfinite(vals).all():
+        raise NonFiniteIterate(_OVERFLOW)
+    n = vals.size
+    keep = vals > n * _EPS * vals[-1]
+    return None if 4 * np.count_nonzero(keep) > n else keep
+
+
+def _eigenfactor(
+    gram: np.ndarray, probe: bool = False
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(P, s) with gram = P diag(s) P^T up to the eigenvalues _kept drops,
+    or None when the Gram does not factor.  With probe, the eigenvalues are
+    first formed alone (eigvalsh: one n x n workspace, where eigh takes about
+    four) and the eigenvectors only when the Gram factors."""
+    try:
+        if probe and _kept(np.linalg.eigvalsh(gram)) is None:
+            return None
+        vals, vecs = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError:
+        # a Gram with infinite entries can stop LAPACK instead of giving NaN
+        if np.isfinite(gram).all():
+            raise
+        raise NonFiniteIterate(_OVERFLOW) from None
+    keep = _kept(vals)
+    return None if keep is None else (vecs[:, keep], vals[keep])
+
+
+def _statistics(kx, fx, ky, fy) -> SecondMoments:
+    """Cxx = Kx Kx / n, Cyy = Ky Ky / n and Cxy = Kx Ky / n.  A view with an
+    eigenfactor (P, s) keeps Cxx = P diag(s^2 / n) P^T; the cross statistic
+    goes through the factor of smaller rank, Cxy = P diag(s / n) (Ky P)^T."""
+    n = kx.shape[0]
+    if fx is None and fy is None:
+        # the Grams are exactly symmetric, so their transposes are the same
+        # matrices read sample-major, as the views of a linear fit are; the
+        # call goes through the module so that a wrapper installed on
+        # solver.second_moments sees it, as it sees the linear fits' calls
+        return solver.second_moments(kx.T, ky.T)
+
+    def moment(k, f):
+        if f is None:  # formed as second_moments forms it
+            c = k.T @ k
+            c /= n
+            return c
+        p, s = f
+        return LowRank(p, s * s / n, p)
+
+    if fy is None or (fx is not None and fx[1].size <= fy[1].size):
+        p, s = fx
+        cxy = LowRank(p, s / n, ky @ p)
+    else:
+        q, t = fy
+        cxy = LowRank(kx @ q, t / n, q)
+    return SecondMoments(cxx=moment(kx, fx), cyy=moment(ky, fy), cxy=cxy, n=n)
 
 
 def project_kernel(

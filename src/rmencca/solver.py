@@ -5,11 +5,11 @@ Cxx = XX^T/n, Cyy = YY^T/n, Cxy = XY^T/n and of the current pair (U, V), so
 a fit forms the statistics once (one O(n d^2) pass) and each iteration then
 costs O(d^2 k), independent of n.  Each product of a statistic with a d x k
 block is formed once and carried to every later use, so a full-batch
-iteration makes 4 of them (with n x n statistics in a kernel fit), plus one
-for each whitening pass that needs refining (see _whiten), and one eigh of
-the 2k x 2k pair Gram.  One iteration, given the current true pair,
-its pair moments (Cxx U, Cxy V, Cyx U, Cyy V and the Gram of
-Z = [X^T U  Y^T V]) and the carried Cxx U~, Cyy V~:
+iteration makes 4 of them, plus one for each whitening pass that needs
+refining (see _whiten), and one eigh of the 2k x 2k pair Gram.  One
+iteration, given the current true pair, its pair moments (Cxx U, Cxy V,
+Cyx U, Cyy V and the Gram of Z = [X^T U  Y^T V]) and the carried Cxx U~,
+Cyy V~:
 
   1. factor the S-inverse operator from the eigh of the pair Gram, and build
      the half-quadratic diagonals P (from U) and Q (from V) (build_context)
@@ -28,8 +28,14 @@ The stochastic variant draws a fresh sample subset each iteration (views are
 stored sample-major, so the gather reads m contiguous samples), forms the
 subset's statistics (with 1/m scaling) and the pair's and iterates' products
 with them, and runs the same iteration on them, then restores the exact
-full-batch whitening constraints once at the end.  The kernel fit runs the
-full-batch iteration on the statistics of its Gram matrices.
+full-batch whitening constraints once at the end.
+
+fit_moments is the loop; it takes the statistics, so the kernel fit runs it
+on statistics formed from its two n x n Gram matrices.  There a statistic is
+an n x n ndarray or, for a Gram of numerical rank r <= n/4, a LowRank held
+as n x r factors, whose product with an n x k block reads 2 n r values
+instead of n^2 (see kernel.fit_kernel).  Besides the statistics, the loop
+holds only d x k iterates and k x k work.
 """
 from __future__ import annotations
 
@@ -72,14 +78,55 @@ _EPS = float(np.finfo(np.float64).eps)
 _REFINE_BOUND = 1e-10
 
 
+class LowRank:
+    """The d1 x d2 matrix left diag(weights) right^T, held as its factors
+    (left: d1 x r, right: d2 x r).
+
+    It supports what the iteration asks of a statistic: `@` with a block on
+    either side, `.T`, `.shape` and `.trace()`.  A product with a d2 x k
+    block reads (d1 + d2) r values instead of d1 d2.
+    """
+
+    # ndarray @ LowRank defers to __rmatmul__ instead of densifying
+    __array_ufunc__ = None
+
+    def __init__(self, left: np.ndarray, weights: np.ndarray, right: np.ndarray) -> None:
+        self.left, self.weights, self.right = left, weights, right
+        self._trace: float | None = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.left.shape[0], self.right.shape[0]
+
+    @property
+    def T(self) -> "LowRank":
+        return LowRank(self.right, self.weights, self.left)
+
+    def __matmul__(self, m: np.ndarray) -> np.ndarray:
+        return self.left @ (self.weights[:, None] * (self.right.T @ m))
+
+    def __rmatmul__(self, m: np.ndarray) -> np.ndarray:
+        return ((m @ self.left) * self.weights) @ self.right.T
+
+    def trace(self) -> float:
+        """The sum of the diagonal, formed on the first call."""
+        if self._trace is None:
+            self._trace = float(self.weights @ np.einsum("ij,ij->j", self.left, self.right))
+        return self._trace
+
+    def finite(self) -> bool:
+        return all(np.isfinite(a).all() for a in (self.left, self.weights, self.right))
+
+
 @dataclass(frozen=True, eq=False)
 class SecondMoments:
     """Second-moment statistics of n paired samples: cxx = XX^T/n (d1 x d1),
-    cyy = YY^T/n (d2 x d2), cxy = XY^T/n (d1 x d2)."""
+    cyy = YY^T/n (d2 x d2), cxy = XY^T/n (d1 x d2).  Each is an ndarray or,
+    in a kernel fit whose Gram has low numerical rank, a LowRank."""
 
-    cxx: np.ndarray
-    cyy: np.ndarray
-    cxy: np.ndarray
+    cxx: np.ndarray | LowRank
+    cyy: np.ndarray | LowRank
+    cxy: np.ndarray | LowRank
     n: int
 
 
@@ -330,7 +377,8 @@ def _whiten(
 
     (d = cov.shape[0], eps = machine epsilon): the first term bounds the
     rounding error of the computed G (for PSD cov, |cov_ij| <=
-    sqrt(cov_ii cov_jj), so || |cov| || <= tr cov), the second the smoothing
+    sqrt(cov_ii cov_jj), so || |cov| || <= tr cov; a LowRank cov keeps
+    d = n, although its product sums over r < n terms), the second the smoothing
     bias zeta / (lambda + zeta) the pass leaves behind.  When beta <= 1e-10,
     two orders below the 1e-8 per-dimension residual budget, W1 is returned
     with cov W1 = (cov m_tilde) R1, k x k work.  Otherwise (ill-conditioned
@@ -341,7 +389,7 @@ def _whiten(
         cov_mt = cov @ m_tilde
         r1, lam_min = whitening_factor(m_tilde, cov_mt, zeta)
         w1 = m_tilde @ r1
-        rounding = cov.shape[0] * _EPS * np.trace(cov) * float((m_tilde * m_tilde).sum())
+        rounding = cov.shape[0] * _EPS * cov.trace() * float((m_tilde * m_tilde).sum())
         if rounding + zeta <= _REFINE_BOUND * (lam_min + zeta):
             return w1, cov_mt, cov_mt @ r1
         cov_w1 = cov @ w1
@@ -381,20 +429,40 @@ def _fit(ds, hp, stochastic, on_iteration):
     validate_dataset(ds, hp)
     start = time.perf_counter()
     x, y = ds.x.data, ds.y.data
-    n, d1, d2, k = ds.n, ds.x.d, ds.y.d, hp.k
-    m = hp.batch_size if stochastic else n
-    subsample = stochastic and m < n
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = second_moments(x, y)
+    batches = None
+    if stochastic and hp.batch_size < ds.n:
+        def batches(rng):
+            idx = np.sort(rng.choice(ds.n, size=hp.batch_size, replace=False))
+            return second_moments(x[:, idx], y[:, idx])
+    return fit_moments(full, hp, on_iteration, batches=batches, start=start)
+
+
+def fit_moments(
+    full: SecondMoments, hp: Hyperparams, on_iteration=None, batches=None, start=None
+) -> FitReport:
+    """The momentum iteration on the statistics `full` of a validated fit.
+
+    `batches(rng)`, when given, returns each iteration's minibatch
+    statistics, drawn with the fit's generator; the pair is then re-whitened
+    against `full` at the end.  `start` is the perf_counter reading the
+    report's wall time counts from (default: now).
+    """
+    start = time.perf_counter() if start is None else start
+    if not all(
+        c.finite() if isinstance(c, LowRank) else np.isfinite(c).all()
+        for c in (full.cxx, full.cyy, full.cxy)
+    ):
+        raise NonFiniteIterate(
+            "view covariance overflowed double precision; rescale the inputs"
+        )
+    d1, d2, k = full.cxx.shape[0], full.cyy.shape[0], hp.k
     rng = np.random.default_rng(hp.seed)
     # whitening smoothing: far below zeta so the constraint residual stays
     # orders of magnitude under the 1e-8 * k budget
     zw = hp.zeta * 1e-6
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        full = second_moments(x, y)
-    if not all(np.isfinite(c).all() for c in (full.cxx, full.cyy, full.cxy)):
-        raise NonFiniteIterate(
-            "view covariance overflowed double precision; rescale the inputs"
-        )
     u0 = rng.standard_normal((d1, k))
     v0 = rng.standard_normal((d2, k))
     pair = CanonicalPair(u=_whiten(u0, full.cxx, zw)[0], v=_whiten(v0, full.cyy, zw)[0])
@@ -410,9 +478,8 @@ def _fit(ds, hp, stochastic, on_iteration):
     pm, cxx_ut, cyy_vt = _moments_of_state(stats, state)
 
     for it in range(1, hp.max_iters + 1):
-        if subsample:
-            idx = np.sort(rng.choice(n, size=m, replace=False))
-            stats = second_moments(x[:, idx], y[:, idx])
+        if batches is not None:
+            stats = batches(rng)
             pm, cxx_ut, cyy_vt = _moments_of_state(stats, state)
 
         ctx = build_context(pm, hp)
@@ -451,7 +518,7 @@ def _fit(ds, hp, stochastic, on_iteration):
             termination = Termination.CONVERGED
             break
 
-    if stochastic:
+    if batches is not None:
         # the loop whitened against minibatch covariances; restore the exact
         # full-batch constraints
         state.pair = CanonicalPair(

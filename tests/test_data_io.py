@@ -685,3 +685,72 @@ def test_model_matrices_must_fit_their_means_and_training_points(tmp_path, capsy
         capsys.readouterr()
         assert main(["eval", "--model", str(p), "--x", x_path, "--y", y_path]) == 10
         assert f"{name} has" in capsys.readouterr().err
+
+
+def _shape_case_models(tmp_path):
+    """Paths of the DSV views and a linear and a kernel model fitted on them."""
+    ds = centered(planted(30, 2, 2, (0.8,), 0.2, seed=16)[0])
+    x_path, y_path = str(tmp_path / "x.csv"), str(tmp_path / "y.csv")
+    r.save_dsv(ds.x, x_path)
+    r.save_dsv(ds.y, y_path)
+    hp = r.Hyperparams(k=1, max_iters=20, tol=0.0, seed=0)
+    rng = np.random.default_rng(17)
+    pair = r.CanonicalPair(u=rng.standard_normal((2, 1)), v=rng.standard_normal((2, 1)))
+    linear = r.ModelFile(version=r.MODEL_VERSION, hp=hp, means_x=ds.x.feature_means,
+                         means_y=ds.y.feature_means, pair=pair)
+    gauss = r.KernelSpec(kind=r.KernelKind.GAUSSIAN, width=2.0)
+    kernel = replace(linear, pair=None, kernel=r.fit_kernel(ds, gauss, gauss, hp))
+    return x_path, y_path, linear, kernel
+
+
+def _two_columns(m):
+    return np.hstack([m, m[:, ::-1] + 1.0])
+
+
+def _points(view, data):
+    return replace(view, train_points=r.ViewMatrix.of(data))
+
+
+_SHAPE_CASES = {
+    # (matrix named in the error, model built from the fitted ones)
+    "U and V column counts differ": ("U has 2 columns", lambda lin, km: replace(
+        lin, pair=replace(lin.pair, u=_two_columns(lin.pair.u)))),
+    "U and V columns differ from k": ("U has 2 columns", lambda lin, km: replace(
+        lin, pair=r.CanonicalPair(u=_two_columns(lin.pair.u), v=_two_columns(lin.pair.v)))),
+    "W_X and W_Y column counts differ": ("W_Y has 2 columns", lambda lin, km: replace(
+        km, kernel=replace(km.kernel, w_y=_two_columns(km.kernel.w_y)))),
+    "W_X and W_Y columns differ from k": ("W_X has 2 columns", lambda lin, km: replace(
+        km, kernel=replace(km.kernel, w_x=_two_columns(km.kernel.w_x),
+                           w_y=_two_columns(km.kernel.w_y)))),
+    "training points have more features than means": (
+        "train_x has 3 features", lambda lin, km: replace(km, kernel=replace(
+            km.kernel, gram_x=_points(km.kernel.gram_x, np.vstack(
+                [km.kernel.gram_x.train_points.data, np.ones(30)]))))),
+    "training sample counts differ": ("train_y has 29 samples", lambda lin, km: replace(
+        km, kernel=replace(
+            km.kernel, w_y=km.kernel.w_y[:29],
+            gram_y=_points(km.kernel.gram_y, km.kernel.gram_y.train_points.data[:, :29])))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHAPE_CASES))
+def test_model_shapes_must_agree_before_any_gram_is_built(tmp_path, capsys, monkeypatch, case):
+    """A model file whose canonical matrices disagree with each other or
+    with the stored k, or whose kernel training points disagree with the
+    means or with each other, is corrupt: load_model raises CorruptFile
+    before building a Gram, and eval exits 10 naming the matrix instead of
+    failing in a product or reporting extra PCCs."""
+    x_path, y_path, linear, kernel = _shape_case_models(tmp_path)
+    message, build = _SHAPE_CASES[case]
+    p = tmp_path / "model.rmen"
+    r.save_model(build(linear, kernel), str(p))
+
+    def no_gram(*args):
+        raise AssertionError("a Gram was built for a corrupt model")
+
+    monkeypatch.setattr(data_io, "build_gram", no_gram)
+    with pytest.raises(CorruptFile, match=message):
+        r.load_model(str(p))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(p), "--x", x_path, "--y", y_path]) == 10
+    assert message in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,13 @@ from rmencca.errors import (
     DegenerateInput,
     DimensionMismatch,
     InvalidKernelParam,
+    NonFiniteEntry,
+    NonFiniteIterate,
+    RankBudgetTooLarge,
+    SampleCountMismatch,
     TooLargeForKernel,
 )
+from rmencca.solver import LowRank, fit_moments, second_moments
 
 from _helpers import centered, mean_pcc, planted, slice_split
 
@@ -78,6 +85,39 @@ def test_fit_kernel_sample_count_guards():
         r.fit_kernel(big, gauss, gauss, r.Hyperparams(k=1))
 
 
+def test_fit_kernel_checks_its_input_views():
+    """The checks fit_full made on the dual views, made on the input views:
+    the same error class for the same input.  A finite input whose Gram
+    overflows is a numeric failure."""
+    gauss = r.KernelSpec(kind=r.KernelKind.GAUSSIAN, width=1.0)
+    lin = r.KernelSpec(kind=r.KernelKind.LINEAR)
+    ds = centered(planted(40, 3, 2, (0.8,), 0.2, seed=23)[0])
+    hp = r.Hyperparams(k=1, max_iters=3, tol=0.0, seed=0)
+
+    def fit(x, y, hp=hp, spec=gauss):
+        r.fit_kernel(r.TwoViewDataset(x=r.ViewMatrix.of(x), y=r.ViewMatrix.of(y)),
+                     spec, spec, hp)
+
+    x, y = ds.x.data, ds.y.data
+    with pytest.raises(SampleCountMismatch):
+        fit(x, y[:, :39])
+    bad = x.copy()
+    bad[1, 7] = np.nan
+    with pytest.raises(NonFiniteEntry):
+        fit(bad, y)
+    with pytest.raises(NonFiniteEntry):
+        fit(x, np.where(y > 1.0, np.inf, y))
+    with pytest.raises(RankBudgetTooLarge):
+        fit(x, y, hp=r.Hyperparams(k=41))
+    with pytest.raises(ValueError, match="batch_size"):
+        fit(x, y, hp=r.Hyperparams(k=1, batch_size=8))
+    for big_x, big_y in ((1e200 * x, y), (x, 1e200 * y)):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteIterate):
+            fit(big_x, big_y, spec=lin)
+    # k may exceed the feature counts: the dual pair has n rows
+    fit(x[:, :3], y[:, :3], hp=r.Hyperparams(k=3, max_iters=3, tol=0.0))
+
+
 def test_project_kernel_on_training_points_is_gram_times_dual():
     ds, _ = planted(80, 5, 4, (0.8,), 0.2, seed=3)
     ds = centered(ds)
@@ -108,26 +148,114 @@ def test_cross_gram_matches_loop_and_checks_features():
         r.cross_gram(gram, r.ViewMatrix.of(rng.standard_normal((4, 7))))
 
 
-def test_fit_kernel_passes_its_grams_without_a_copy(monkeypatch):
-    """The dual views are the (exactly symmetric) Grams themselves, read
-    sample-major through their transposes: no n x n copy is made."""
-    ds = centered(planted(40, 3, 2, (0.8,), 0.2, seed=23)[0])
+def _sinusoid(n, seed):
+    """The sinusoidal link of the Gaussian-kernel tests: n training and n
+    held-out samples.  With widths 0.7 and 0.15 the x Gram has numerical rank
+    below n/4 from n of about 350 on, the y Gram stays near full rank."""
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-1.0, 1.0, size=2 * n)
+    x = np.vstack([np.sin(3 * np.pi * z), 0.3 * rng.standard_normal(2 * n)])
+    y = np.vstack([z, 0.3 * rng.standard_normal(2 * n)])
+    return slice_split(r.TwoViewDataset(x=r.ViewMatrix.of(x), y=r.ViewMatrix.of(y)), n)
+
+
+_SINUSOID_SPECS = (r.KernelSpec(kind=r.KernelKind.GAUSSIAN, width=0.7),
+                   r.KernelSpec(kind=r.KernelKind.GAUSSIAN, width=0.15))
+
+
+def _factoring_case(case):
+    """(train, held-out, spec_x, spec_y, hp, which views factor).
+
+    The steps are ones on which the fit settles.  While a momentum fit
+    swings, it amplifies rounding-level differences in the statistics: on the
+    first case with eta = 0.0065, the dense loop run on Kx Kx formed by gemm
+    instead of syrk moves the objective at iteration 1500 by 3e-5 relative,
+    the factored statistics by 1.5e-5.  The linear dual diverges on either
+    path with eta >= 0.002."""
+    if case == "one view factors":
+        train, val = _sinusoid(400, seed=6)
+        hp = r.Hyperparams(k=1, eta=0.003, gamma=0.99, max_iters=600, tol=0.0, seed=3)
+        return (train, val, *_SINUSOID_SPECS, hp, (True, False))
+    train, val = slice_split(planted(240, 6, 5, (0.8, 0.5), 0.2, seed=5)[0], 120)
+    if case == "both views factor":
+        lin = r.KernelSpec(kind=r.KernelKind.LINEAR)
+        hp = r.Hyperparams(k=2, eta=0.0005, max_iters=80, tol=0.0, seed=1)
+        return train, val, lin, lin, hp, (True, True)
+    gauss = r.KernelSpec(kind=r.KernelKind.GAUSSIAN, width=3.0)
+    hp = r.Hyperparams(k=2, max_iters=80, tol=0.0, seed=1)
+    return train, val, gauss, gauss, hp, (False, False)
+
+
+@pytest.mark.parametrize(
+    "case", ["one view factors", "both views factor", "neither view factors"])
+def test_factored_statistics_match_the_dense_loop(case):
+    """fit_kernel against the same loop run on the dense statistics
+    second_moments(Kx, Ky): the final objective within 1e-6 relative, the
+    held-out PCC within 0.01 pp, residuals against the dense statistics
+    within 1e-8 * k, the same seed reproducing the fit bit for bit, and a
+    fit in which no view factors identical to the dense loop."""
+    train, val, sx, sy, hp, factors = _factoring_case(case)
+    model = r.fit_kernel(train, sx, sy, hp)
+    kx, ky = model.gram_x.values, model.gram_y.values
+    assert (kernel._eigenfactor(kx) is not None, kernel._eigenfactor(ky) is not None) == factors
+    dense = second_moments(kx.T, ky.T)
+    ref = fit_moments(dense, hp)
+
+    again = r.fit_kernel(train, sx, sy, hp)
+    assert again.report.objective_trace == model.report.objective_trace
+    assert np.array_equal(again.w_x, model.w_x) and np.array_equal(again.w_y, model.w_y)
+
+    got, want = model.report.objective_trace[-1], ref.objective_trace[-1]
+    assert abs(got - want) <= 1e-6 * abs(want)
+    ref_model = kernel.KernelModel(w_x=ref.pair.u, w_y=ref.pair.v, gram_x=model.gram_x,
+                                   gram_y=model.gram_y, report=ref)
+    pcc, ref_pcc = (r.pcc(*r.project_kernel(m, val.x, val.y)).mean_pcc_percent
+                    for m in (model, ref_model))
+    assert abs(pcc - ref_pcc) <= 0.01
+    for w, cov in ((model.w_x, dense.cxx), (model.w_y, dense.cyy)):
+        assert np.linalg.norm(w.T @ cov @ w - np.eye(hp.k)) <= 1e-8 * hp.k
+    if not any(factors):
+        assert model.report.objective_trace == ref.objective_trace
+        assert np.array_equal(model.w_x, ref.pair.u) and np.array_equal(model.w_y, ref.pair.v)
+
+
+def test_factored_view_holds_no_n_by_n_statistic(monkeypatch):
+    """When only the x Gram factors, Cxx and Cxy are held as n x r factors
+    with r <= n/4, and the dense Cyy is the only n x n statistic."""
+    train, _ = _sinusoid(400, seed=6)
+    n = train.n
     seen = []
-    fit_full = kernel.fit_full
+    fit_moments_ = kernel.fit_moments
 
-    def recording_fit(dual_ds, hp, on_iteration=None):
-        seen.append(dual_ds)
-        return fit_full(dual_ds, hp, on_iteration=on_iteration)
+    def recording(stats, hp, on_iteration=None, **kwargs):
+        seen.append(stats)
+        return fit_moments_(stats, hp, on_iteration, **kwargs)
 
-    monkeypatch.setattr(kernel, "fit_full", recording_fit)
-    km = r.fit_kernel(ds, r.KernelSpec(kind=r.KernelKind.GAUSSIAN, width=1.5),
-                      r.KernelSpec(kind=r.KernelKind.LINEAR),
-                      r.Hyperparams(k=1, max_iters=3, tol=0.0, seed=0))
-    (dual,) = seen
-    for view, gram in ((dual.x, km.gram_x), (dual.y, km.gram_y)):
-        assert np.shares_memory(view.data, gram.values)
-        assert view.data.flags.f_contiguous
-        assert np.array_equal(view.data, gram.values)
+    monkeypatch.setattr(kernel, "fit_moments", recording)
+    r.fit_kernel(train, *_SINUSOID_SPECS, r.Hyperparams(k=1, max_iters=3, tol=0.0, seed=0))
+    (stats,) = seen
+    assert isinstance(stats.cyy, np.ndarray) and stats.cyy.shape == (n, n)
+    for low in (stats.cxx, stats.cxy):
+        assert isinstance(low, LowRank) and low.shape == (n, n)
+        for part in (low.left, low.right):
+            assert part.shape[0] == n and 4 * part.shape[1] <= n
+
+
+def test_fit_kernel_peak_memory_with_one_factored_view():
+    """fit_kernel's peak of traced numpy memory, in units of one n x n array,
+    stays below 4.5 when one view factors.  Forming dense statistics from
+    both Grams peaked at 5.13; factoring Kx before Ky is built peaks near
+    4.1, while Ky is being built next to Kx and its factor."""
+    train, _ = _sinusoid(400, seed=6)
+    hp = r.Hyperparams(k=1, max_iters=5, tol=0.0, seed=0)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        r.fit_kernel(train, *_SINUSOID_SPECS, hp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8.0 * train.n * train.n) < 4.5
 
 
 def test_kernel_fit_keeps_dual_constraints():
