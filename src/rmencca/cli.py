@@ -7,9 +7,12 @@ Subcommands:
   eval     evaluate a saved model on new data
   compare  fit several variants on the same split, one report row each
 
-Flags may also come from a JSON config file (--config); explicit flags
-override file values.  Reports are deterministic for a fixed config,
-seed and BLAS thread count except the wall-time fields.
+FLAGS is the one place a flag is declared: each command's table of
+key -> kind builds its parser, lists the keys a JSON config file (--config)
+may hold, and checks every value, and a key named like a Hyperparams,
+SyntheticSpec or RunConfig field sets that field.  Explicit flags override
+file values; both pass the same check.  Reports are deterministic for a
+fixed config, seed and BLAS thread count except the wall-time fields.
 """
 from __future__ import annotations
 
@@ -50,9 +53,6 @@ VARIANTS = ("rmen", "men", "appgrad", "closed-form", "kernel-rmen")
 DEFAULT_VARIANT = "rmen"
 KERNELS = tuple(kind.value for kind in KernelKind)
 FORMATS = ("json", "tsv")
-# keys whose flags take `choices`; config-file values are checked against the
-# same tuples
-_CHOICES = {"variant": VARIANTS, "kernel": KERNELS, "format": FORMATS}
 
 
 def _delimiter(value) -> str:
@@ -68,31 +68,61 @@ def _delimiter(value) -> str:
     return value
 
 
-# CLI key -> (dataclass field, type); a key left unset takes the field's default
-_HP_FIELDS = {
-    "k": ("k", int),
-    "lambda1": ("lambda1", float),
-    "lambda2": ("lambda2", float),
-    "eta": ("eta", float),
-    "gamma": ("gamma", float),
-    "zeta": ("zeta", float),
-    "iters": ("max_iters", int),
-    "tol": ("tol", float),
-    "batch_size": ("batch_size", int),
-    "seed": ("seed", int),
+def _floats(raw) -> tuple[float, ...]:
+    """--correlations: comma-separated text, or a JSON list of numbers."""
+    parts = raw.split(",") if isinstance(raw, str) else raw
+    return tuple(_checked("correlations", float, part) for part in parts)
+
+
+def _variants(raw) -> tuple[str, ...]:
+    """--variants: comma-separated text, or a JSON list of names; each a
+    known variant, none twice."""
+    parts = raw.split(",") if isinstance(raw, str) else raw
+    names = tuple(_checked("variants", str, part).strip() for part in parts)
+    bad = [name for name in names if name not in VARIANTS]
+    if bad:
+        raise ConfigError(f"unknown variants: {', '.join(bad)}")
+    if len(names) != len(set(names)):
+        raise ConfigError("duplicate variants requested")
+    return names
+
+
+# key -> kind.  A key is a flag (--key, with '-' for '_') and a config-file
+# key.  A kind is int, float or str, a tuple of choices, or a converter of the
+# flag's text or a JSON value.
+_OUTPUT = {"delimiter": _delimiter, "out": str, "format": FORMATS}
+_INPUTS = {"x": str, "y": str, "mnist": str}
+_FITTING = {
+    "k": int, "lambda1": float, "lambda2": float, "eta": float, "gamma": float,
+    "zeta": float, "iters": int, "tol": float, "batch_size": int,
+    "kernel": KERNELS, "kernel_width": float, "seed": int,
+    "val_fraction": float, "split_seed": int,
 }
-_SYNTH_FIELDS = {
-    "n": ("n", int),
-    "d1": ("d1", int),
-    "d2": ("d2", int),
-    "noise": ("noise_scale", float),
-    "seed": ("seed", int),
+FLAGS = {  # command: (summary, its flags in --help order)
+    "synth": ("generate planted two-view data", {
+        **_OUTPUT, "n": int, "d1": int, "d2": int, "correlations": _floats,
+        "noise": float, "seed": int, "x_out": str, "y_out": str,
+    }),
+    "train": ("fit one variant and evaluate held out", {
+        **_OUTPUT, **_INPUTS, **_FITTING, "variant": VARIANTS, "model_out": str,
+    }),
+    "eval": ("evaluate a saved model on new data", {**_OUTPUT, **_INPUTS, "model": str}),
+    "compare": ("fit several variants on one split", {
+        **_OUTPUT, **_INPUTS, **_FITTING, "variants": _variants,
+    }),
 }
-_OUTPUT_FIELDS = {
-    "delimiter": ("delimiter", _delimiter),
-    "out": ("out", str),
-    "format": ("format", str),
+_HELP = {
+    "x": "view X as DSV, one sample per row",
+    "y": "view Y as DSV, one sample per row",
+    "mnist": "IDX image file; views are the left/right halves",
+    "correlations": "comma-separated, descending, in (0,1]",
+    "variants": "comma-separated subset of: " + ",".join(VARIANTS),
 }
+# keys whose library field has another name
+_FIELD_NAMES = {"iters": "max_iters", "noise": "noise_scale"}
+# the JSON types a value of a scalar kind may have; text is parsed as the
+# flag parses it
+_JSON_TYPES = {int: (str, int), float: (str, int, float), str: (str,)}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,63 +156,36 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Multi-view CCA solvers with robust matrix-elastic-net regularization.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # flags shared by several commands, each declared once
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--config", help="JSON config file; flags override its values")
-    output.add_argument("--delimiter")
-    output.add_argument("--out")
-    output.add_argument("--format", choices=FORMATS)
-    inputs = argparse.ArgumentParser(add_help=False)
-    inputs.add_argument("--x", help="view X as DSV, one sample per row")
-    inputs.add_argument("--y", help="view Y as DSV, one sample per row")
-    inputs.add_argument("--mnist", help="IDX image file; views are the left/right halves")
-    fitting = argparse.ArgumentParser(add_help=False)
-    fitting.add_argument("--k", type=int)
-    fitting.add_argument("--lambda1", type=float)
-    fitting.add_argument("--lambda2", type=float)
-    fitting.add_argument("--eta", type=float)
-    fitting.add_argument("--gamma", type=float)
-    fitting.add_argument("--zeta", type=float)
-    fitting.add_argument("--iters", type=int)
-    fitting.add_argument("--tol", type=float)
-    fitting.add_argument("--batch-size", type=int, dest="batch_size")
-    fitting.add_argument("--kernel", choices=KERNELS)
-    fitting.add_argument("--kernel-width", type=float, dest="kernel_width")
-    fitting.add_argument("--seed", type=int)
-    fitting.add_argument("--val-fraction", type=float, dest="val_fraction")
-    fitting.add_argument("--split-seed", type=int, dest="split_seed")
-
-    p_synth = sub.add_parser("synth", parents=[output], help="generate planted two-view data")
-    p_synth.add_argument("--n", type=int)
-    p_synth.add_argument("--d1", type=int)
-    p_synth.add_argument("--d2", type=int)
-    p_synth.add_argument("--correlations", help="comma-separated, descending, in (0,1]")
-    p_synth.add_argument("--noise", type=float)
-    p_synth.add_argument("--seed", type=int)
-    p_synth.add_argument("--x-out", dest="x_out")
-    p_synth.add_argument("--y-out", dest="y_out")
-
-    p_train = sub.add_parser("train", parents=[output, inputs, fitting],
-                             help="fit one variant and evaluate held out")
-    p_train.add_argument("--variant", choices=VARIANTS)
-    p_train.add_argument("--model-out", dest="model_out")
-
-    p_eval = sub.add_parser("eval", parents=[output, inputs],
-                            help="evaluate a saved model on new data")
-    p_eval.add_argument("--model")
-
-    p_cmp = sub.add_parser("compare", parents=[output, inputs, fitting],
-                           help="fit several variants on one split")
-    p_cmp.add_argument("--variants", help="comma-separated subset of: " + ",".join(VARIANTS))
-
+    for command, (summary, table) in FLAGS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        for key, kind in table.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP.get(key),
+                           type=kind if kind in (int, float) else None,
+                           choices=kind if isinstance(kind, tuple) else None)
     return parser
 
 
+def _checked(key: str, kind, value):
+    """value, from a flag or a config file, as its flag's kind.  A boolean, a
+    JSON number not of the flag's type (int flags take integers only), a
+    list for a scalar flag or a value outside the choices is a ConfigError."""
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"unknown {key} {value!r}; choose from {', '.join(kind)}")
+        return value
+    try:
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES.get(kind, object)):
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad --{key.replace('_', '-')} value: {value!r}") from None
+
+
 def _merge(args: argparse.Namespace) -> dict:
-    """Config-file values overridden by explicitly passed flags; the valid
-    keys are the command's own flags."""
-    keys = [key for key in vars(args) if key not in ("command", "config")]
+    """Each of the command's keys -> its flag's value, else its config-file
+    value, checked; None when neither is given."""
+    table = FLAGS[args.command][1]
     file_vals: dict = {}
     if args.config:
         if not os.path.isfile(args.config):
@@ -194,105 +197,59 @@ def _merge(args: argparse.Namespace) -> dict:
                 raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(file_vals, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(file_vals) - set(keys))
+        unknown = sorted(set(file_vals) - set(table))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     merged = {}
-    for key in keys:
-        flag = getattr(args, key)
-        merged[key] = flag if flag is not None else file_vals.get(key)
-        allowed = _CHOICES.get(key)
-        if allowed and merged[key] is not None and merged[key] not in allowed:
-            raise ConfigError(
-                f"unknown {key} {merged[key]!r}; choose from {', '.join(allowed)}"
-            )
+    for key, kind in table.items():
+        value = getattr(args, key)
+        if value is None:
+            value = file_vals.get(key)
+        merged[key] = None if value is None else _checked(key, kind, value)
     return merged
 
 
-def _pick(vals: dict, key: str, default):
-    v = vals.get(key)
-    return default if v is None else v
-
-
-def _cast(key: str, value, cast):
-    """cast(value); a value of the wrong type or form is a ConfigError."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad --{key.replace('_', '-')} value: {value!r}") from None
-
-
-def _floats(raw) -> tuple[float, ...]:
-    """A comma-separated string, or a list of numbers, as floats."""
-    return tuple(float(c) for c in (raw.split(",") if isinstance(raw, str) else raw))
-
-
-def _given(vals: dict, fields: dict) -> dict:
-    """Keyword arguments for the keys that were set, each converted to its
-    field's type; a key left unset keeps the dataclass default."""
-    return {
-        name: _cast(key, vals[key], cast)
-        for key, (name, cast) in fields.items()
-        if vals.get(key) is not None
-    }
-
-
-def _hyperparams(vals: dict) -> Hyperparams:
-    try:
-        return Hyperparams(**{"k": 2, **_given(vals, _HP_FIELDS)})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _fields(cls, vals: dict) -> dict:
+    """Keyword arguments of dataclass cls from the keys that were set and
+    name one of its fields; a field left unset keeps its default."""
+    names = {field.name for field in dataclasses.fields(cls)}
+    given = {_FIELD_NAMES.get(key, key): value for key, value in vals.items()
+             if value is not None}
+    return {name: value for name, value in given.items() if name in names}
 
 
 def _kernel_spec(vals: dict, variants: tuple[str, ...]) -> KernelSpec | None:
-    kind = vals.get("kernel")
-    width = vals.get("kernel_width")
-    uses_kernel = "kernel-rmen" in variants
-    if not uses_kernel:
+    kind, width = vals["kernel"], vals["kernel_width"]
+    if "kernel-rmen" not in variants:
         if kind is not None or width is not None:
             raise ConfigError("--kernel/--kernel-width require the kernel-rmen variant")
         return None
-    kind = kind or "gaussian"
+    if vals["batch_size"] is not None:
+        raise ConfigError("--batch-size does not apply to kernel-rmen: kernel fits are full-batch")
     if kind == "linear":
         if width is not None:
             raise ConfigError("--kernel-width does not apply to the linear kernel")
         return KernelSpec(kind=KernelKind.LINEAR)
     if width is None:
         raise ConfigError("the Gaussian kernel requires --kernel-width")
-    width = _cast("kernel_width", width, float)
-    try:
-        return KernelSpec(kind=KernelKind.GAUSSIAN, width=width)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return KernelSpec(kind=KernelKind.GAUSSIAN, width=width)
 
 
 def _require_file(path: str | None, what: str) -> str:
     if not path:
         raise ConfigError(f"missing required input: {what}")
-    if not isinstance(path, str):
-        raise ConfigError(f"bad {what} value: {path!r}")
     if not os.path.isfile(path):
         raise FileNotFoundError(f"{what} not found: {path}")
     return path
 
 
-def _check_out_dir(path: str | None) -> None:
-    if path:
-        if not isinstance(path, str):
-            raise ConfigError(f"bad output path: {path!r}")
-        parent = os.path.dirname(os.path.abspath(path))
-        if not os.path.isdir(parent):
-            raise ConfigError(f"output directory does not exist: {parent}")
-
-
 def _inputs(vals: dict) -> dict:
     """The input files as RunConfig fields: mnist_path, or x_path and y_path."""
-    mnist = vals.get("mnist")
-    if mnist is not None:
-        return {"mnist_path": _require_file(mnist, "--mnist")}
+    if vals["mnist"] is not None:
+        return {"mnist_path": _require_file(vals["mnist"], "--mnist")}
     return {
-        "x_path": _require_file(vals.get("x"), "--x"),
-        "y_path": _require_file(vals.get("y"), "--y"),
+        "x_path": _require_file(vals["x"], "--x"),
+        "y_path": _require_file(vals["y"], "--y"),
     }
 
 
@@ -300,75 +257,42 @@ def parse_config(argv: list[str] | None) -> RunConfig:
     args = _build_parser().parse_args(argv)
     command = args.command
     vals = _merge(args)
+    # out, format, delimiter and the command's other RunConfig-named keys
+    given = _fields(RunConfig, vals)
+    for path in filter(None, map(given.get, ("out", "model_out", "x_out", "y_out"))):
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            raise ConfigError(f"output directory does not exist: {parent}")
 
     if command == "synth":
-        corr_raw = vals.get("correlations")
-        if corr_raw is None:
+        if vals["correlations"] is None:
             raise ConfigError("synth requires --correlations")
-        corr = _cast("correlations", corr_raw, _floats)
-        try:
-            # the sizes are the CLI's own defaults; noise and seed are the spec's
-            spec = SyntheticSpec(
-                **{"n": 1000, "d1": 10, "d2": 8, **_given(vals, _SYNTH_FIELDS)},
-                k_true=len(corr),
-                correlations=corr,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        x_out, y_out = vals.get("x_out"), vals.get("y_out")
-        if not x_out or not y_out:
+        # the sizes are the CLI's own defaults; noise and seed are the spec's
+        spec = SyntheticSpec(**{"n": 1000, "d1": 10, "d2": 8, **_fields(SyntheticSpec, vals)},
+                             k_true=len(vals["correlations"]))
+        if not vals["x_out"] or not vals["y_out"]:
             raise ConfigError("synth requires --x-out and --y-out")
-        for p in (x_out, y_out, vals.get("out")):
-            _check_out_dir(p)
-        return RunConfig(
-            command="synth", synth=spec, x_out=x_out, y_out=y_out,
-            **_given(vals, _OUTPUT_FIELDS),
-        )
+        return RunConfig(command="synth", synth=spec, **given)
 
     if command == "eval":
-        model_path = _require_file(vals.get("model"), "--model")
-        inputs = _inputs(vals)
-        _check_out_dir(vals.get("out"))
-        return RunConfig(
-            command="eval", model_path=model_path, **inputs,
-            **_given(vals, _OUTPUT_FIELDS),
-        )
+        return RunConfig(command="eval", model_path=_require_file(vals["model"], "--model"),
+                         **_inputs(vals), **given)
 
-    if command == "train":
-        variants = (_pick(vals, "variant", DEFAULT_VARIANT),)
-    else:
-        raw = vals.get("variants")
-        if raw is None:
-            raise ConfigError("compare requires --variants")
-        if not isinstance(raw, str):
-            raw = _cast("variants", raw, ",".join)
-        parts = tuple(tok.strip() for tok in raw.split(","))
-        bad = [p for p in parts if p not in VARIANTS]
-        if bad:
-            raise ConfigError(f"unknown variants: {', '.join(bad)}")
-        if len(parts) != len(set(parts)):
-            raise ConfigError("duplicate variants requested")
-        variants = parts
-
-    hp = _hyperparams(vals)
+    variants = (vals["variant"] or DEFAULT_VARIANT,) if command == "train" else vals["variants"]
+    if variants is None:
+        raise ConfigError("compare requires --variants")
+    hp = Hyperparams(**{"k": 2, **_fields(Hyperparams, vals)})
     kernel = _kernel_spec(vals, variants)
     inputs = _inputs(vals)
-    val_fraction = _cast("val_fraction", _pick(vals, "val_fraction", RunConfig.val_fraction), float)
+    val_fraction = given.get("val_fraction", RunConfig.val_fraction)
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"--val-fraction must lie in (0, 1), got {val_fraction}")
-    _check_out_dir(vals.get("out"))
-    _check_out_dir(vals.get("model_out"))
-    return RunConfig(
-        command=command,
-        hp=hp,
-        **inputs,
-        variants=variants,
-        kernel=kernel,
-        val_fraction=val_fraction,
-        split_seed=_cast("split_seed", _pick(vals, "split_seed", hp.seed), int),
-        model_out=vals.get("model_out"),
-        **_given(vals, _OUTPUT_FIELDS),
-    )
+    split_seed = given.get("split_seed", hp.seed)
+    if split_seed < 0:
+        raise ConfigError(f"--split-seed must be nonnegative, got {split_seed}")
+    # the kernel key's text becomes its KernelSpec
+    return RunConfig(**{**given, "command": command, "hp": hp, **inputs,
+                        "variants": variants, "kernel": kernel, "split_seed": split_seed})
 
 
 # -------------------------------------------------------------- the pipeline

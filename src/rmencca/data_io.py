@@ -79,6 +79,8 @@ class SyntheticSpec:
             raise ValueError(f"correlations must be sorted descending: {corr}")
         if self.noise_scale < 0.0 or not np.isfinite(self.noise_scale):
             raise ValueError(f"noise_scale must be finite and nonnegative: {self.noise_scale}")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 def _well_conditioned(rng: np.random.Generator, d: int) -> np.ndarray:

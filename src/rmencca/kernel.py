@@ -159,7 +159,7 @@ def fit_kernel(
     # the checks fit_full makes on a fit whose views are the two Grams,
     # made on the input views
     if hp.batch_size is not None:
-        raise ValueError("hp.batch_size is set; use fit_stochastic")
+        raise ValueError("kernel fits are full-batch; hp.batch_size must be None")
     if ds.y.n != n:
         raise SampleCountMismatch(f"view x has {n} samples but view y has {ds.y.n}")
     for name, view in (("x", ds.x), ("y", ds.y)):

@@ -6,7 +6,7 @@ import pytest
 
 import rmencca as r
 from rmencca import errors
-from rmencca.cli import main, parse_config
+from rmencca.cli import FLAGS, main, parse_config
 
 
 def _synth_files(tmp_path, n=400, corr="0.9,0.6", noise="0.2", seed="1"):
@@ -128,7 +128,7 @@ def test_kernel_variant_round_trip(tmp_path):
     assert _read_json(eval_out)["variant"] == "kernel-rmen"
 
 
-def test_kernel_flags_require_kernel_variant(tmp_path):
+def test_kernel_flags_require_kernel_variant(tmp_path, capsys):
     x_path, y_path = _synth_files(tmp_path, n=100)
     out = tmp_path / "never.json"
     code = main(["train", "--x", x_path, "--y", y_path,
@@ -139,6 +139,16 @@ def test_kernel_flags_require_kernel_variant(tmp_path):
                  "--kernel", "linear", "--kernel-width", "2.0"]) == 2
     assert main(["train", "--x", x_path, "--y", y_path, "--variant", "kernel-rmen",
                  "--kernel", "gaussian"]) == 2
+    # kernel fits are full-batch: refused before any data is read or fitted
+    for argv in (["train", "--variant", "kernel-rmen", "--kernel-width", "1",
+                  "--batch-size", "32"],
+                 ["compare", "--variants", "rmen,kernel-rmen", "--kernel-width", "1",
+                  "--batch-size", "64"]):
+        capsys.readouterr()
+        assert main(argv + ["--x", x_path, "--y", y_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--batch-size" in err[0]
+        assert not out.exists()
 
 
 def test_compare_emits_one_row_per_variant(tmp_path):
@@ -248,6 +258,10 @@ def test_config_file_error_cases(tmp_path):
     ("train", {"zeta": float("inf")}),
     ("train", {"tol": float("nan")}),
     ("compare", {"lambda2": float("inf")}),
+    ("train", {"k": 2.5}),
+    ("train", {"k": True}),
+    ("train", {"tol": True}),
+    ("train", {"seed": 1.5}),
 ])
 def test_config_file_values_are_typed_and_checked(tmp_path, capsys, command, values):
     """A config-file key that is not one of the command's flags, or a value of
@@ -267,6 +281,64 @@ def test_config_file_values_are_typed_and_checked(tmp_path, capsys, command, val
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not (tmp_path / "r.json").exists()
+
+
+# one value per key of every command: (flag text, the same value as JSON)
+_FLAG_VALUES = {
+    "delimiter": (";", ";"), "format": ("tsv", "tsv"), "k": ("1", 1),
+    "lambda1": ("0.5", 0.5), "lambda2": ("0", 0), "eta": ("0.01", 0.01),
+    "gamma": ("0.5", 0.5), "zeta": ("1e-6", 1e-6), "iters": ("7", 7), "tol": ("0", 0.0),
+    "batch_size": ("8", 8), "kernel": ("linear", "linear"),
+    "kernel_width": ("2.5", 2.5), "seed": ("3", 3), "val_fraction": ("0.3", 0.3),
+    "split_seed": ("4", 4), "variant": ("men", "men"),
+    "variants": ("rmen, closed-form", ["rmen", "closed-form"]),
+    "n": ("50", 50), "d1": ("4", 4), "d2": ("3", 3),
+    "correlations": ("0.9,0.5", [0.9, 0.5]), "noise": ("0.1", 0.1),
+}
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, (_, table) in FLAGS.items() for key in table])
+def test_flag_and_config_file_give_the_same_run(tmp_path, command, key):
+    """--key V, a config file holding V as text and one holding V as a JSON
+    value of the flag's type all parse to the same RunConfig."""
+    paths = {k: str(tmp_path / k) for k in
+             ("x", "y", "mnist", "model", "out", "model_out", "x_out", "y_out")}
+    for k in ("x", "y", "mnist", "model"):  # inputs need only exist here
+        (tmp_path / k).write_text("")
+    values = {**_FLAG_VALUES, **{k: (p, p) for k, p in paths.items()}}
+    base = {
+        "synth": {"correlations": "0.9", "x_out": paths["x_out"], "y_out": paths["y_out"]},
+        "eval": {"model": paths["model"], "x": paths["x"], "y": paths["y"]},
+        "train": {"x": paths["x"], "y": paths["y"]},
+        "compare": {"x": paths["x"], "y": paths["y"], "variants": "rmen"},
+    }[command]
+    if key in ("kernel", "kernel_width"):
+        base["variant" if command == "train" else "variants"] = "kernel-rmen"
+    base.pop(key, None)
+    flags = [tok for k, v in base.items() for tok in ("--" + k.replace("_", "-"), v)]
+    text, typed = values[key]
+    expected = parse_config([command, *flags, "--" + key.replace("_", "-"), text])
+    for value in (text, typed):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        assert parse_config([command, *flags, "--config", str(config)]) == expected
+
+
+def test_negative_seeds_name_their_flag(tmp_path, capsys):
+    x_path, y_path = _synth_files(tmp_path, n=60)
+    new_x, new_y = str(tmp_path / "new_x.csv"), str(tmp_path / "new_y.csv")
+    for argv, flag in (
+        (["synth", "--correlations", "0.9", "--seed", "-1",
+          "--x-out", new_x, "--y-out", new_y], "seed"),
+        (["train", "--x", x_path, "--y", y_path, "--seed", "-1"], "seed"),
+        (["train", "--x", x_path, "--y", y_path, "--split-seed", "-1"], "--split-seed"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and flag in err[0]
+    assert not (tmp_path / "new_x.csv").exists()
 
 
 def test_delimiter_is_one_character_outside_numbers(tmp_path, capsys):

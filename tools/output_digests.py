@@ -4,9 +4,11 @@ Usage: python tools/output_digests.py [--src DIR]
 
 In a temporary directory, runs `synth`, then `train` and `eval` for every
 variant (kernel-rmen with a full-rank Gaussian and a low-rank linear
-kernel, rmen also minibatch) and one `compare` over all variants, each command in a fresh
-interpreter with one BLAS thread and rmencca imported from DIR (default: the
-src/ beside this script).  Prints one "sha256  name" line per output file.
+kernel, rmen also minibatch), the rmen `train` again with its fit flags in a
+`--config` file, whose report and model should equal the flag run's, and one
+`compare` over all variants, each command in a fresh interpreter with one
+BLAS thread and rmencca imported from DIR (default: the src/ beside this
+script).  Prints one "sha256  name" line per output file.
 JSON reports are hashed without their wall_seconds fields, which change
 from run to run; every other file is hashed as written.  Running it against
 two source trees shows which outputs a change moved.
@@ -25,7 +27,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 
 SYNTH = ["--n", "600", "--d1", "8", "--d2", "6", "--correlations", "0.9,0.6",
          "--noise", "0.3", "--seed", "3"]
-FIT = ["--k", "2", "--iters", "150", "--tol", "0", "--seed", "4"]
+FIT_CONFIG = {"k": 2, "iters": 150, "tol": 0, "seed": 4}
+FIT = [arg for key, value in FIT_CONFIG.items() for arg in (f"--{key}", str(value))]
 # on this data the Gaussian Grams have full rank and the linear ones rank
 # d1 and d2; the linear dual needs a small step (its largest statistic
 # eigenvalue is near 7000, so at eta = 0.0005 the objective already climbs)
@@ -76,6 +79,10 @@ def main() -> None:
                  "--model-out", f"{name}.rmen")
             _run(src, tmp, "eval", *views, "--model", f"{name}.rmen",
                  "--out", f"eval-{name}.json")
+        with open(os.path.join(tmp, "rmen-config.json"), "w", encoding="utf-8") as fh:
+            json.dump({**FIT_CONFIG, "variant": "rmen"}, fh)
+        _run(src, tmp, "train", *views, "--config", "rmen-config.json",
+             "--out", "train-rmen-config.json", "--model-out", "rmen-config.rmen")
         _run(src, tmp, "compare", *views, *FIT, *KERNELS["gaussian"],
              "--variants", "rmen,men,appgrad,closed-form,kernel-rmen",
              "--out", "compare.json")
