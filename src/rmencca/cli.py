@@ -246,6 +246,8 @@ def _require_file(path: str | None, what: str) -> str:
 def _inputs(vals: dict) -> dict:
     """The input files as RunConfig fields: mnist_path, or x_path and y_path."""
     if vals["mnist"] is not None:
+        if vals["x"] is not None or vals["y"] is not None:
+            raise ConfigError("--mnist replaces --x and --y; give one or the other")
         return {"mnist_path": _require_file(vals["mnist"], "--mnist")}
     return {
         "x_path": _require_file(vals["x"], "--x"),
@@ -259,7 +261,10 @@ def parse_config(argv: list[str] | None) -> RunConfig:
     vals = _merge(args)
     # out, format, delimiter and the command's other RunConfig-named keys
     given = _fields(RunConfig, vals)
-    for path in filter(None, map(given.get, ("out", "model_out", "x_out", "y_out"))):
+    for key in filter(given.get, ("out", "model_out", "x_out", "y_out")):
+        path = given[key]
+        if os.path.isdir(path):
+            raise ConfigError(f"--{key.replace('_', '-')} names a directory: {path}")
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
             raise ConfigError(f"output directory does not exist: {parent}")
@@ -275,8 +280,9 @@ def parse_config(argv: list[str] | None) -> RunConfig:
         return RunConfig(command="synth", synth=spec, **given)
 
     if command == "eval":
-        return RunConfig(command="eval", model_path=_require_file(vals["model"], "--model"),
-                         **_inputs(vals), **given)
+        # inputs first: a config error in them outranks a missing model file
+        return RunConfig(command="eval", **_inputs(vals),
+                         model_path=_require_file(vals["model"], "--model"), **given)
 
     variants = (vals["variant"] or DEFAULT_VARIANT,) if command == "train" else vals["variants"]
     if variants is None:

@@ -1,5 +1,5 @@
-"""Shared data types: views, datasets, canonical pairs, hyperparameters,
-solver state, and fit reports.
+"""Shared data types: views, datasets, canonical pairs, hyperparameters and
+fit reports.
 
 Layout convention: a view is logically features x samples (d x n), so the
 projection of a view through a canonical matrix U is data.T @ U (n x k).
@@ -11,7 +11,7 @@ contiguous samples.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,19 +132,6 @@ class Hyperparams:
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         object.__setattr__(self, "penalty", Penalty(self.penalty))
-
-
-@dataclass
-class SolverState:
-    """Mutable in-flight solver variables; owned by exactly one fit."""
-
-    u_tilde: np.ndarray
-    v_tilde: np.ndarray
-    delta_u: np.ndarray
-    delta_v: np.ndarray
-    pair: CanonicalPair
-    iter: int = 0
-    objective_trace: list[float] = field(default_factory=list)
 
 
 class Termination(enum.Enum):

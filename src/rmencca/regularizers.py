@@ -1,7 +1,6 @@
 """Row-sparsity and low-rank penalties.
 
-l21 norm, its half-quadratic diagonal surrogate (diagonal weights
-p_i = 1 / (2 sqrt(||row_i||^2 + zeta))), the nuclear norm, and the factored
+l21 norm, its half-quadratic surrogate, the nuclear norm, and the factored
 S-inverse operator representing (M + zeta I)^(-1/2) for M = Z Z^T,
 Z = [proj_x proj_y].  M has rank at most 2k, so the operator is factored from
 an eigh of the 2k x 2k Gram Z^T Z.  The operator can be built in n-space from
@@ -9,6 +8,10 @@ Z itself, or from an image T Z of Z under a linear map T (the solver uses
 T = X and T = Y) together with the Gram's eigh, so that T S^-1 T^T is applied
 without ever forming an n-length array; one eigh serves both images and the
 nuclear norm.
+
+The half-quadratic surrogate puts Tr(M^T diag(w) M) in place of ||M||_21, with
+the weight vector w_i = 1 / (2 sqrt(||row_i||^2 + zeta)) frozen at the
+current iterate (hq_diagonal): a plain array, one weight per row of M.
 """
 from __future__ import annotations
 
@@ -23,14 +26,6 @@ from .errors import DimensionMismatch, InvalidSmoothing
 # resolves its eigenvalues only to about 1e-16 of the largest, so this keeps
 # singular values above 1e-6 of the largest.
 _RANK_CUTOFF = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class HQDiagonal:
-    """Diagonal of the half-quadratic weight matrix P (or Q)."""
-
-    weights: np.ndarray
-    zeta: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,8 +72,8 @@ def _kept(lam: np.ndarray) -> np.ndarray:
     return np.zeros(lam.shape, dtype=bool)
 
 
-def hq_diagonal(m, zeta: float) -> HQDiagonal:
-    """Half-quadratic weights for the rows of m.
+def hq_diagonal(m, zeta: float) -> np.ndarray:
+    """Half-quadratic weights for the rows of m, one per row.
 
     weights[i] = 1 / (2 sqrt(||row_i||^2 + zeta)); the smoothing keeps the
     weight finite for zero rows (bounded by 1 / (2 sqrt(zeta))).
@@ -87,17 +82,7 @@ def hq_diagonal(m, zeta: float) -> HQDiagonal:
         raise InvalidSmoothing(f"zeta must be positive, got {zeta}")
     m = np.asarray(m, dtype=np.float64)
     sq = (m * m).sum(axis=1)
-    return HQDiagonal(weights=1.0 / (2.0 * np.sqrt(sq + zeta)), zeta=zeta)
-
-
-def surrogate_penalty(m, hq: HQDiagonal) -> float:
-    """Tr(m^T diag(weights) m), the weighted quadratic standing in for l21."""
-    m = np.asarray(m, dtype=np.float64)
-    if hq.weights.shape[0] != m.shape[0]:
-        raise DimensionMismatch(
-            f"weights for {hq.weights.shape[0]} rows applied to {m.shape[0]} rows"
-        )
-    return float((hq.weights * (m * m).sum(axis=1)).sum())
+    return 1.0 / (2.0 * np.sqrt(sq + zeta))
 
 
 def build_s_inverse(proj_x, proj_y, zeta: float, spectrum=None) -> SInverseOperator:

@@ -24,6 +24,11 @@ Cyy V~:
   5. the objective at the new pair, from its pair moments; its Gram eigh
      is the one the next iteration's context reuses
 
+Steps 2 and 3 are one step taken on each view in turn, so one gradient,
+grad_u, serves both views (grad_v is the same function with the views'
+roles swapped), and the loop keeps its state (the iterates U~ and V~, their
+momenta, the pair and the objective trace) as local arrays.
+
 The stochastic variant draws a fresh sample subset each iteration (views are
 stored sample-major, so the gather reads m contiguous samples), forms the
 subset's statistics (with 1/m scaling) and the pair's and iterates' products
@@ -50,7 +55,6 @@ from .core import (
     FitReport,
     Hyperparams,
     Penalty,
-    SolverState,
     Termination,
     TwoViewDataset,
     validate_dataset,
@@ -58,7 +62,6 @@ from .core import (
 from .errors import AllZeroInput, DimensionMismatch, NonFiniteIterate
 from .metrics import _residual
 from .regularizers import (  # noqa: F401  nuclear_norm: see below
-    HQDiagonal,
     SInverseOperator,
     apply_s_inverse,
     build_s_inverse,
@@ -170,13 +173,14 @@ class IterationContext:
     """Per-iteration quantities frozen from the current true pair.
 
     s_inv_x and s_inv_y apply X S^-1 X^T and Y S^-1 Y^T; they are None when
-    lambda2 = 0.
+    lambda2 = 0.  p and q are the row weights of U and V, the diagonals of the
+    half-quadratic P and Q (all ones in Frobenius penalty mode).
     """
 
     s_inv_x: SInverseOperator | None
     s_inv_y: SInverseOperator | None
-    p: HQDiagonal
-    q: HQDiagonal
+    p: np.ndarray
+    q: np.ndarray
 
 
 def second_moments(x: np.ndarray, y: np.ndarray) -> SecondMoments:
@@ -223,8 +227,7 @@ def build_context(pm: PairMoments, hp: Hyperparams) -> IterationContext:
         p = hq_diagonal(pair.u, hp.zeta)
         q = hq_diagonal(pair.v, hp.zeta)
     else:
-        p = HQDiagonal(weights=np.ones(pair.u.shape[0]), zeta=hp.zeta)
-        q = HQDiagonal(weights=np.ones(pair.v.shape[0]), zeta=hp.zeta)
+        p, q = np.ones(pair.u.shape[0]), np.ones(pair.v.shape[0])
     return IterationContext(s_inv_x=s_inv_x, s_inv_y=s_inv_y, p=p, q=q)
 
 
@@ -254,60 +257,26 @@ def objective(pm: PairMoments, hp: Hyperparams) -> float:
 
 
 def grad_u(
-    stats: SecondMoments,
-    state: SolverState,
-    ctx: IterationContext,
-    hp: Hyperparams,
-    cxx_ut: np.ndarray | None = None,
-    cxy_v: np.ndarray | None = None,
+    m_tilde: np.ndarray, cov_mt: np.ndarray, cross: np.ndarray, weights: np.ndarray,
+    s_inv: SInverseOperator | None, n: int, hp: Hyperparams,
 ) -> np.ndarray:
-    """Cxx U~ - Cxy V + lambda1 P U~ + lambda2 X S^-1 X^T U~, where
-    X S^-1 X^T U~ = zeta^(-1/2) n Cxx U~ + X Phi D (X Phi)^T U~.
+    """The gradient of one view's surrogate at its unnormalized iterate; for U
 
-    cxx_ut = Cxx U~ and cxy_v = Cxy V are the products a caller already
-    holds; each one left out is formed here."""
-    ut = state.u_tilde
-    if ut.shape[0] != stats.cxx.shape[0]:
-        raise DimensionMismatch(
-            f"u_tilde has {ut.shape[0]} rows, view x has {stats.cxx.shape[0]}"
-        )
-    if cxx_ut is None:
-        cxx_ut = stats.cxx @ ut
-    if cxy_v is None:
-        cxy_v = stats.cxy @ state.pair.v
-    g = cxx_ut - cxy_v
+      Cxx U~ - Cxy V + lambda1 diag(weights) U~ + lambda2 X S^-1 X^T U~,
+
+    given cov_mt = Cxx U~, cross = Cxy V and s_inv for X S^-1 X^T, applied as
+    zeta^(-1/2) n Cxx U~ + X Phi D (X Phi)^T U~.  For V the views swap roles.
+    """
+    g = cov_mt - cross
     if hp.lambda1 != 0.0:
-        g = g + hp.lambda1 * ctx.p.weights[:, None] * ut
+        g = g + hp.lambda1 * weights[:, None] * m_tilde
     if hp.lambda2 != 0.0:
-        g = g + hp.lambda2 * apply_s_inverse(ctx.s_inv_x, ut, stats.n * cxx_ut)
+        g = g + hp.lambda2 * apply_s_inverse(s_inv, m_tilde, n * cov_mt)
     return g
 
 
-def grad_v(
-    stats: SecondMoments,
-    state: SolverState,
-    ctx: IterationContext,
-    hp: Hyperparams,
-    cyy_vt: np.ndarray | None = None,
-    cyx_u: np.ndarray | None = None,
-) -> np.ndarray:
-    """Mirror of grad_u; the residual uses the freshly updated U in state.pair
-    (cyx_u = Cyx U of that U)."""
-    vt = state.v_tilde
-    if vt.shape[0] != stats.cyy.shape[0]:
-        raise DimensionMismatch(
-            f"v_tilde has {vt.shape[0]} rows, view y has {stats.cyy.shape[0]}"
-        )
-    if cyy_vt is None:
-        cyy_vt = stats.cyy @ vt
-    if cyx_u is None:
-        cyx_u = stats.cxy.T @ state.pair.u
-    g = cyy_vt - cyx_u
-    if hp.lambda1 != 0.0:
-        g = g + hp.lambda1 * ctx.q.weights[:, None] * vt
-    if hp.lambda2 != 0.0:
-        g = g + hp.lambda2 * apply_s_inverse(ctx.s_inv_y, vt, stats.n * cyy_vt)
-    return g
+# the loop takes V's step through this name, so tools can wrap each view apart
+grad_v = grad_u
 
 
 def momentum_step(
@@ -466,87 +435,75 @@ def fit_moments(
     u0 = rng.standard_normal((d1, k))
     v0 = rng.standard_normal((d2, k))
     pair = CanonicalPair(u=_whiten(u0, full.cxx, zw)[0], v=_whiten(v0, full.cyy, zw)[0])
-    state = SolverState(
-        u_tilde=np.zeros((d1, k)),
-        v_tilde=np.zeros((d2, k)),
-        delta_u=np.zeros((d1, k)),
-        delta_v=np.zeros((d2, k)),
-        pair=pair,
-    )
+    # the unnormalized iterates U~, V~ and their momenta
+    ut, vt = np.zeros((d1, k)), np.zeros((d2, k))
+    du, dv = np.zeros((d1, k)), np.zeros((d2, k))
+    trace: list[float] = []
     termination = Termination.MAX_ITERS
     stats = full
-    pm, cxx_ut, cyy_vt = _moments_of_state(stats, state)
+    pm, cxx_ut, cyy_vt = _moments_of_state(stats, pair, ut, vt)
 
     for it in range(1, hp.max_iters + 1):
         if batches is not None:
             stats = batches(rng)
-            pm, cxx_ut, cyy_vt = _moments_of_state(stats, state)
+            pm, cxx_ut, cyy_vt = _moments_of_state(stats, pair, ut, vt)
 
         ctx = build_context(pm, hp)
 
-        gu = grad_u(stats, state, ctx, hp, cxx_ut, pm.cxy_v)
-        state.u_tilde, state.delta_u = momentum_step(state.u_tilde, state.delta_u, gu, hp)
-        if not np.isfinite(state.u_tilde).all():
+        gu = grad_u(ut, cxx_ut, pm.cxy_v, ctx.p, ctx.s_inv_x, stats.n, hp)
+        ut, du = momentum_step(ut, du, gu, hp)
+        if not np.isfinite(ut).all():
             raise NonFiniteIterate("U update produced non-finite values; reduce eta")
-        u, cxx_ut, cxx_u = _whiten(state.u_tilde, stats.cxx, zw)
+        u, cxx_ut, cxx_u = _whiten(ut, stats.cxx, zw)
         cyx_u = stats.cxy.T @ u
-        state.pair = CanonicalPair(u=u, v=state.pair.v)
 
-        gv = grad_v(stats, state, ctx, hp, cyy_vt, cyx_u)
-        state.v_tilde, state.delta_v = momentum_step(state.v_tilde, state.delta_v, gv, hp)
-        if not np.isfinite(state.v_tilde).all():
+        # V's step sees the freshly whitened U through Cyx U
+        gv = grad_v(vt, cyy_vt, cyx_u, ctx.q, ctx.s_inv_y, stats.n, hp)
+        vt, dv = momentum_step(vt, dv, gv, hp)
+        if not np.isfinite(vt).all():
             raise NonFiniteIterate("V update produced non-finite values; reduce eta")
-        v, cyy_vt, cyy_v = _whiten(state.v_tilde, stats.cyy, zw)
+        v, cyy_vt, cyy_v = _whiten(vt, stats.cyy, zw)
         cxy_v = stats.cxy @ v
-        state.pair = CanonicalPair(u=u, v=v)
-        state.iter = it
+        pair = CanonicalPair(u=u, v=v)
 
         # the next iteration's context starts from these moments (full batch)
-        pm = PairMoments.of(state.pair, cxx_u, cxy_v, cyx_u, cyy_v, stats.n)
+        pm = PairMoments.of(pair, cxx_u, cxy_v, cyx_u, cyy_v, stats.n)
         obj = objective(pm, hp)
         if not np.isfinite(obj):
             raise NonFiniteIterate("objective became non-finite; reduce eta")
-        state.objective_trace.append(obj)
-        first = state.objective_trace[0]
-        if obj > 10.0 * first and obj > 1e-12:
+        trace.append(obj)
+        if obj > 10.0 * trace[0] and obj > 1e-12:
             raise NonFiniteIterate(
-                f"objective grew from {first:.3e} to {obj:.3e}; reduce eta"
+                f"objective grew from {trace[0]:.3e} to {obj:.3e}; reduce eta"
             )
         if on_iteration is not None:
-            on_iteration(it, state.pair)
-        if _converged(state.objective_trace, hp.tol):
+            on_iteration(it, pair)
+        if _converged(trace, hp.tol):
             termination = Termination.CONVERGED
             break
 
     if batches is not None:
         # the loop whitened against minibatch covariances; restore the exact
         # full-batch constraints
-        state.pair = CanonicalPair(
-            u=_whiten(state.u_tilde, full.cxx, zw)[0],
-            v=_whiten(state.v_tilde, full.cyy, zw)[0],
-        )
+        pair = CanonicalPair(u=_whiten(ut, full.cxx, zw)[0], v=_whiten(vt, full.cyy, zw)[0])
 
     return FitReport(
-        pair=state.pair,
-        iterations_run=state.iter,
-        objective_trace=tuple(state.objective_trace),
-        final_constraint_residual_u=_residual(state.pair.u, full.cxx),
-        final_constraint_residual_v=_residual(state.pair.v, full.cyy),
+        pair=pair,
+        iterations_run=it,
+        objective_trace=tuple(trace),
+        final_constraint_residual_u=_residual(pair.u, full.cxx),
+        final_constraint_residual_v=_residual(pair.v, full.cyy),
         termination=termination,
         wall_seconds=time.perf_counter() - start,
     )
 
 
 def _moments_of_state(
-    stats: SecondMoments, state: SolverState
+    stats: SecondMoments, pair: CanonicalPair, ut: np.ndarray, vt: np.ndarray
 ) -> tuple[PairMoments, np.ndarray, np.ndarray]:
     """The pair moments and the iterates' products Cxx U~, Cyy V~ that an
     iteration starts from, formed afresh on `stats`."""
-    return (
-        pair_moments(stats, state.pair),
-        stats.cxx @ state.u_tilde,
-        stats.cyy @ state.v_tilde,
-    )
+    return pair_moments(stats, pair), stats.cxx @ ut, stats.cyy @ vt
 
 
 def _converged(trace: list[float], tol: float) -> bool:

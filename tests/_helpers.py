@@ -44,3 +44,17 @@ def feasible_pair(rng, ds, k):
         u=r.normalize(rng.standard_normal((ds.x.d, k)), x @ x.T / n, 0.0),
         v=r.normalize(rng.standard_normal((ds.y.d, k)), y @ y.T / n, 0.0),
     )
+
+
+def fresh_grad_u(stats, ctx, hp, u_tilde, v):
+    """solver.grad_u at U~ against the partner V, with Cxx U~ and Cxy V
+    formed afresh from the statistics rather than carried by a loop."""
+    return r.grad_u(u_tilde, stats.cxx @ u_tilde, stats.cxy @ v, ctx.p, ctx.s_inv_x,
+                    stats.n, hp)
+
+
+def fresh_grad_v(stats, ctx, hp, v_tilde, u):
+    """solver.grad_v at V~ against the partner U, with Cyy V~ and Cyx U
+    formed afresh from the statistics."""
+    return r.grad_v(v_tilde, stats.cyy @ v_tilde, stats.cxy.T @ u, ctx.q, ctx.s_inv_y,
+                    stats.n, hp)

@@ -16,7 +16,7 @@ import pytest
 import rmencca as r
 from rmencca.cli import main
 
-from _helpers import mean_pcc, planted, slice_split
+from _helpers import fresh_grad_u, fresh_grad_v, mean_pcc, planted, slice_split
 
 
 def _line(name: str, ok: bool, detail: str) -> None:
@@ -90,13 +90,8 @@ def test_gradients_match_finite_differences_on_twenty_instances():
         stats = r.second_moments(x, y)
         ctx = r.build_context(r.pair_moments(stats, pair), hp)
         s_inv = r.build_s_inverse(x.T @ pair.u, y.T @ pair.v, hp.zeta)
-        state = r.SolverState(
-            u_tilde=rng.standard_normal((d1, k)),
-            v_tilde=rng.standard_normal((d2, k)),
-            delta_u=np.zeros((d1, k)),
-            delta_v=np.zeros((d2, k)),
-            pair=pair,
-        )
+        u_tilde = rng.standard_normal((d1, k))
+        v_tilde = rng.standard_normal((d2, k))
 
         def surrogate(tilde, view, partner_proj, weights):
             proj = view.T @ tilde
@@ -107,8 +102,8 @@ def test_gradients_match_finite_differences_on_twenty_instances():
             return val
 
         for analytic, tilde, view, partner_proj, weights in (
-            (r.grad_u(stats, state, ctx, hp), state.u_tilde, x, y.T @ pair.v, ctx.p.weights),
-            (r.grad_v(stats, state, ctx, hp), state.v_tilde, y, x.T @ pair.u, ctx.q.weights),
+            (fresh_grad_u(stats, ctx, hp, u_tilde, pair.v), u_tilde, x, y.T @ pair.v, ctx.p),
+            (fresh_grad_v(stats, ctx, hp, v_tilde, pair.u), v_tilde, y, x.T @ pair.u, ctx.q),
         ):
             numeric = np.zeros_like(tilde)
             for i in range(tilde.shape[0]):
@@ -136,9 +131,9 @@ def test_half_quadratic_tightness_identity():
         cols = int(rng.integers(1, 6))
         m = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-2, 2)
         zeta = 10.0 ** rng.uniform(-10, -2)
-        hq = r.hq_diagonal(m, zeta)
-        lhs = r.surrogate_penalty(m, hq) + float(
-            (zeta * hq.weights + 1.0 / (4.0 * hq.weights)).sum())
+        w = r.hq_diagonal(m, zeta)
+        surrogate = float((w * (m * m).sum(axis=1)).sum())  # Tr(m^T diag(w) m)
+        lhs = surrogate + float((zeta * w + 1.0 / (4.0 * w)).sum())
         rhs = float(np.sqrt((m * m).sum(axis=1) + zeta).sum())
         worst = max(worst, abs(lhs - rhs) / rhs)
     _line("half-quadratic identity", worst <= 1e-10,
@@ -208,10 +203,7 @@ def test_row_norm_penalty_decreases_monotonically():
         for _ in range(50):
             pair = r.CanonicalPair(u=u_tilde, v=v_fixed)
             ctx = r.build_context(r.pair_moments(stats, pair), hp)
-            state = r.SolverState(
-                u_tilde=u_tilde, v_tilde=np.zeros((9, 3)),
-                delta_u=delta, delta_v=np.zeros((9, 3)), pair=pair)
-            grad = r.grad_u(stats, state, ctx, hp)
+            grad = fresh_grad_u(stats, ctx, hp, u_tilde, v_fixed)
             u_tilde, delta = r.momentum_step(u_tilde, delta, grad, hp)
             norms.append(r.l21_norm(u_tilde))
         worst_rise = max(worst_rise, float(np.diff(norms).max()))

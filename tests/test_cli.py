@@ -315,6 +315,8 @@ def test_flag_and_config_file_give_the_same_run(tmp_path, command, key):
     }[command]
     if key in ("kernel", "kernel_width"):
         base["variant" if command == "train" else "variants"] = "kernel-rmen"
+    if key == "mnist":  # --mnist replaces --x and --y
+        base.pop("x"), base.pop("y")
     base.pop(key, None)
     flags = [tok for k, v in base.items() for tok in ("--" + k.replace("_", "-"), v)]
     text, typed = values[key]
@@ -379,6 +381,41 @@ def test_mnist_input_path(tmp_path):
                  "--tol", "0", "--eta", "0.05", "--out", out]) == 0
     report = _read_json(out)
     assert report["n_train"] == 48 and report["n_validation"] == 12
+
+
+def test_output_path_naming_a_directory_is_refused_first(tmp_path, capsys):
+    """An output flag naming an existing directory is a configuration error
+    raised before any input is read: exit 2, not the 3 of the missing --x."""
+    missing = str(tmp_path / "missing.csv")
+    inputs = ["--x", missing, "--y", missing]
+    for argv, flag in (
+        (["train", *inputs, "--out", str(tmp_path)], "--out"),
+        (["train", *inputs, "--model-out", str(tmp_path)], "--model-out"),
+        (["compare", *inputs, "--variants", "rmen", "--out", str(tmp_path)], "--out"),
+        (["eval", *inputs, "--model", missing, "--out", str(tmp_path)], "--out"),
+        (["synth", "--correlations", "0.9", "--x-out", str(tmp_path),
+          "--y-out", str(tmp_path / "y.csv")], "--x-out"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: " + flag + " ")
+    assert not (tmp_path / "y.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "compare"])
+@pytest.mark.parametrize("extra", [["--x", "nonexistent.csv"], ["--y", "nonexistent.csv"]])
+def test_mnist_with_dsv_inputs_is_a_config_error(tmp_path, capsys, command, extra):
+    """--mnist replaces --x and --y; giving both is refused by name, before
+    the missing DSV file is looked for."""
+    idx = tmp_path / "m.idx"
+    idx.write_bytes(struct.pack(">IIII", 0x00000803, 4, 2, 2) + bytes(16))
+    # eval's model file is missing too: the config error is named first
+    missing_model = str(tmp_path / "missing.rmen")
+    argv = {"train": [], "eval": ["--model", missing_model], "compare": ["--variants", "rmen"]}
+    assert main([command, "--mnist", str(idx), *extra, *argv[command]]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --mnist ")
 
 
 def test_distinct_exit_codes(tmp_path):

@@ -41,9 +41,9 @@ def test_nuclear_norm_orthogonal_invariance():
 
 def test_hq_diagonal_formula():
     m = np.array([[3.0, 4.0], [0.0, 0.0]])
-    hq = r.hq_diagonal(m, 1e-8)
-    assert hq.weights[0] == pytest.approx(1.0 / (2.0 * np.sqrt(25.0 + 1e-8)))
-    assert hq.weights[1] == pytest.approx(1.0 / (2.0 * np.sqrt(1e-8)))
+    w = r.hq_diagonal(m, 1e-8)
+    assert w[0] == pytest.approx(1.0 / (2.0 * np.sqrt(25.0 + 1e-8)))
+    assert w[1] == pytest.approx(1.0 / (2.0 * np.sqrt(1e-8)))
 
 
 def test_hq_diagonal_rejects_bad_zeta():
@@ -53,29 +53,14 @@ def test_hq_diagonal_rejects_bad_zeta():
         r.hq_diagonal(np.ones((2, 2)), -1e-8)
 
 
-def test_surrogate_penalty_matches_direct_sum():
-    rng = np.random.default_rng(2)
-    m = rng.standard_normal((7, 3))
-    hq = r.hq_diagonal(m, 1e-6)
-    direct = sum(hq.weights[i] * (m[i] ** 2).sum() for i in range(7))
-    assert r.surrogate_penalty(m, hq) == pytest.approx(direct, rel=1e-12)
-
-
-def test_surrogate_penalty_rejects_row_mismatch():
-    hq = r.hq_diagonal(np.ones((3, 2)), 1e-8)
-    with pytest.raises(DimensionMismatch):
-        r.surrogate_penalty(np.ones((4, 2)), hq)
-
-
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), zeta=st.floats(1e-10, 1e-2))
 def test_hq_tightness_identity(seed, zeta):
     """surrogate + sum(zeta w_i + 1/(4 w_i)) equals sum sqrt(||row||^2+zeta)."""
     m = np.random.default_rng(seed).standard_normal((6, 3)) * 2.0
-    hq = r.hq_diagonal(m, zeta)
-    lhs = r.surrogate_penalty(m, hq) + float(
-        (zeta * hq.weights + 1.0 / (4.0 * hq.weights)).sum()
-    )
+    w = r.hq_diagonal(m, zeta)
+    surrogate = float((w * (m * m).sum(axis=1)).sum())  # Tr(m^T diag(w) m)
+    lhs = surrogate + float((zeta * w + 1.0 / (4.0 * w)).sum())
     rhs = float(np.sqrt((m * m).sum(axis=1) + zeta).sum())
     assert lhs == pytest.approx(rhs, rel=1e-12)
 

@@ -12,26 +12,22 @@ from rmencca.errors import AllZeroInput, BatchTooLarge, DimensionMismatch, NonFi
 from rmencca.regularizers import apply_s_inverse, build_s_inverse, l21_norm, nuclear_norm
 from rmencca.solver import (
     build_context,
-    grad_u,
-    grad_v,
     momentum_step,
     objective,
     pair_moments,
     second_moments,
 )
 
-from _helpers import centered, feasible_pair, mean_pcc, planted, random_dataset, slice_split
-
-
-def _state(rng, ds, k, hp):
-    pair = feasible_pair(rng, ds, k)
-    return r.SolverState(
-        u_tilde=rng.standard_normal((ds.x.d, k)),
-        v_tilde=rng.standard_normal((ds.y.d, k)),
-        delta_u=np.zeros((ds.x.d, k)),
-        delta_v=np.zeros((ds.y.d, k)),
-        pair=pair,
-    )
+from _helpers import (
+    centered,
+    feasible_pair,
+    fresh_grad_u,
+    fresh_grad_v,
+    mean_pcc,
+    planted,
+    random_dataset,
+    slice_split,
+)
 
 
 def _stats(ds):
@@ -56,7 +52,7 @@ def test_build_context_freezes_current_pair():
     assert np.allclose(stats.cyy, y @ y.T / 30)
     assert np.allclose(stats.cxy, x @ y.T / 30)
     want_p = 1.0 / (2.0 * np.sqrt((pair.u ** 2).sum(axis=1) + hp.zeta))
-    assert np.allclose(ctx.p.weights, want_p)
+    assert np.allclose(ctx.p, want_p)
     direct = r.build_s_inverse(x.T @ pair.u, y.T @ pair.v, hp.zeta)
     probe = rng.standard_normal((30, 2))
     # the context applies X S^-1 X^T and Y S^-1 Y^T; lift the n-space probe
@@ -72,8 +68,8 @@ def test_build_context_frobenius_mode_uses_unit_weights():
     ds = random_dataset(rng, 5, 4, 25)
     hp = r.Hyperparams(k=2, penalty=r.Penalty.FROBENIUS)
     ctx = build_context(_moments(ds, feasible_pair(rng, ds, 2)), hp)
-    assert np.array_equal(ctx.p.weights, np.ones(5))
-    assert np.array_equal(ctx.q.weights, np.ones(4))
+    assert np.array_equal(ctx.p, np.ones(5))
+    assert np.array_equal(ctx.q, np.ones(4))
 
 
 def test_objective_hand_value():
@@ -113,21 +109,21 @@ def test_objective_rejects_mismatched_pair():
         objective(_moments(ds, bad), r.Hyperparams(k=2))
 
 
-def _surrogate_u(ds, state, ctx, s_inv, hp, ut):
+def _surrogate_u(ds, pair, ctx, s_inv, hp, ut):
     x, y = ds.x.data, ds.y.data
-    diff = x.T @ ut - y.T @ state.pair.v
+    diff = x.T @ ut - y.T @ pair.v
     val = 0.5 / ds.n * float((diff * diff).sum())
-    val += 0.5 * hp.lambda1 * float((ctx.p.weights * (ut * ut).sum(axis=1)).sum())
+    val += 0.5 * hp.lambda1 * float((ctx.p * (ut * ut).sum(axis=1)).sum())
     proj = x.T @ ut
     val += 0.5 * hp.lambda2 * float((proj * apply_s_inverse(s_inv, proj)).sum())
     return val
 
 
-def _surrogate_v(ds, state, ctx, s_inv, hp, vt):
+def _surrogate_v(ds, pair, ctx, s_inv, hp, vt):
     x, y = ds.x.data, ds.y.data
-    diff = x.T @ state.pair.u - y.T @ vt
+    diff = x.T @ pair.u - y.T @ vt
     val = 0.5 / ds.n * float((diff * diff).sum())
-    val += 0.5 * hp.lambda1 * float((ctx.q.weights * (vt * vt).sum(axis=1)).sum())
+    val += 0.5 * hp.lambda1 * float((ctx.q * (vt * vt).sum(axis=1)).sum())
     proj = y.T @ vt
     val += 0.5 * hp.lambda2 * float((proj * apply_s_inverse(s_inv, proj)).sum())
     return val
@@ -137,37 +133,37 @@ def test_gradients_match_finite_differences():
     rng = np.random.default_rng(4)
     ds = random_dataset(rng, 6, 5, 18)
     hp = r.Hyperparams(k=2, lambda1=0.3, lambda2=0.2, zeta=1e-4)
-    state = _state(rng, ds, 2, hp)
+    pair = feasible_pair(rng, ds, 2)
+    ut = rng.standard_normal((ds.x.d, 2))
+    vt = rng.standard_normal((ds.y.d, 2))
     stats = _stats(ds)
-    ctx = build_context(pair_moments(stats, state.pair), hp)
+    ctx = build_context(pair_moments(stats, pair), hp)
     # the surrogate's S-inverse, built in n-space independently of ctx
-    s_inv = build_s_inverse(ds.x.data.T @ state.pair.u, ds.y.data.T @ state.pair.v, hp.zeta)
+    s_inv = build_s_inverse(ds.x.data.T @ pair.u, ds.y.data.T @ pair.v, hp.zeta)
     h = 1e-6
-    for grad_fn, surrogate, tilde in (
-        (grad_u, _surrogate_u, state.u_tilde),
-        (grad_v, _surrogate_v, state.v_tilde),
+    for analytic, surrogate, tilde in (
+        (fresh_grad_u(stats, ctx, hp, ut, pair.v), _surrogate_u, ut),
+        (fresh_grad_v(stats, ctx, hp, vt, pair.u), _surrogate_v, vt),
     ):
-        analytic = grad_fn(stats, state, ctx, hp)
         numeric = np.zeros_like(tilde)
         for i in range(tilde.shape[0]):
             for j in range(tilde.shape[1]):
                 bump = tilde.copy()
                 bump[i, j] += h
-                hi = surrogate(ds, state, ctx, s_inv, hp, bump)
+                hi = surrogate(ds, pair, ctx, s_inv, hp, bump)
                 bump[i, j] -= 2 * h
-                lo = surrogate(ds, state, ctx, s_inv, hp, bump)
+                lo = surrogate(ds, pair, ctx, s_inv, hp, bump)
                 numeric[i, j] = (hi - lo) / (2 * h)
         rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
         assert rel < 1e-5
 
 
-def _n_space_reference(ds, state, hp):
+def _n_space_reference(ds, pair, ut, vt, hp):
     """grad_u, grad_v and the objective formed from the views themselves, with
     the S-inverse factored by a thin SVD of the n x 2k [X^T U  Y^T V]."""
     x, y = ds.x.data, ds.y.data
     n = ds.n
-    u, v = state.pair.u, state.pair.v
-    ut, vt = state.u_tilde, state.v_tilde
+    u, v = pair.u, pair.v
     a, b = x.T @ u, y.T @ v
     phi, sigma, _ = np.linalg.svd(np.concatenate([a, b], axis=1), full_matrices=False)
     keep = sigma > 1e-10 * sigma[0]
@@ -179,8 +175,8 @@ def _n_space_reference(ds, state, hp):
         return scale * m + phi @ (shift[:, None] * (phi.T @ m))
 
     if hp.penalty is r.Penalty.L21:
-        p = r.hq_diagonal(u, hp.zeta).weights
-        q = r.hq_diagonal(v, hp.zeta).weights
+        p = r.hq_diagonal(u, hp.zeta)
+        q = r.hq_diagonal(v, hp.zeta)
         row_penalty = l21_norm(u) + l21_norm(v)
     else:
         p, q = np.ones(ds.x.d), np.ones(ds.y.d)
@@ -219,20 +215,16 @@ def test_statistics_form_matches_n_space_formulas():
         hp = r.Hyperparams(k=k, lambda1=float(rng.uniform(0.0, 0.5)),
                            lambda2=float(rng.uniform(0.0, 0.5)),
                            zeta=10.0 ** rng.uniform(-8, -2), penalty=penalty)
-        state = r.SolverState(
-            u_tilde=rng.standard_normal((ds.x.d, k)),
-            v_tilde=rng.standard_normal((ds.y.d, k)),
-            delta_u=np.zeros((ds.x.d, k)),
-            delta_v=np.zeros((ds.y.d, k)),
-            pair=r.CanonicalPair(u=rng.standard_normal((ds.x.d, k)),
-                                 v=rng.standard_normal((ds.y.d, k))),
-        )
-        want_u, want_v, want_obj = _n_space_reference(ds, state, hp)
+        ut = rng.standard_normal((ds.x.d, k))
+        vt = rng.standard_normal((ds.y.d, k))
+        pair = r.CanonicalPair(u=rng.standard_normal((ds.x.d, k)),
+                               v=rng.standard_normal((ds.y.d, k)))
+        want_u, want_v, want_obj = _n_space_reference(ds, pair, ut, vt, hp)
         stats = _stats(ds)
-        pm = pair_moments(stats, state.pair)
+        pm = pair_moments(stats, pair)
         ctx = build_context(pm, hp)
-        for got, want in ((grad_u(stats, state, ctx, hp), want_u),
-                          (grad_v(stats, state, ctx, hp), want_v)):
+        for got, want in ((fresh_grad_u(stats, ctx, hp, ut, pair.v), want_u),
+                          (fresh_grad_v(stats, ctx, hp, vt, pair.u), want_v)):
             worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
         worst = max(worst, abs(objective(pm, hp) - want_obj) / abs(want_obj))
     assert worst <= 1e-9
@@ -415,6 +407,36 @@ def _counting_factors(monkeypatch):
 
     monkeypatch.setattr(solver, "whitening_factor", counted)
     return count
+
+
+def _counting_phases(monkeypatch, names):
+    """Count calls of each named solver phase, looked up in the solver
+    module's globals as tracing tools wrap them; returns name -> count."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(solver, name)
+
+        def counted(*args, _name=name, _real=real):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(solver, name, counted)
+    return counts
+
+
+def test_loop_reaches_each_phase_by_name(monkeypatch):
+    """With both penalties on, each of 3 iterations builds one context, takes
+    one gradient per view (grad_u for U, grad_v for V) and one objective, and
+    per view one momentum step, one row-weight vector, one S-inverse factor
+    and one S-inverse application."""
+    per_iteration = {"build_context": 1, "objective": 1, "grad_u": 1, "grad_v": 1,
+                     "momentum_step": 2, "hq_diagonal": 2, "build_s_inverse": 2,
+                     "apply_s_inverse": 2}
+    counts = _counting_phases(monkeypatch, per_iteration)
+    ds, _ = planted(200, 7, 6, (0.8, 0.5), 0.2, seed=9)
+    hp = r.Hyperparams(k=2, lambda1=0.01, lambda2=0.001, max_iters=3, tol=0.0, seed=1)
+    r.fit_full(centered(ds), hp)
+    assert counts == {name: 3 * calls for name, calls in per_iteration.items()}
 
 
 def _kernel_problem():

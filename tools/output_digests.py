@@ -4,7 +4,8 @@ Usage: python tools/output_digests.py [--src DIR]
 
 In a temporary directory, runs `synth`, then `train` and `eval` for every
 variant (kernel-rmen with a full-rank Gaussian and a low-rank linear
-kernel, rmen also minibatch), the rmen `train` again with its fit flags in a
+kernel, rmen also minibatch and with each penalty off in turn, so that every
+branch of the gradient runs), the rmen `train` again with its fit flags in a
 `--config` file, whose report and model should equal the flag run's, and one
 `compare` over all variants, each command in a fresh interpreter with one
 BLAS thread and rmencca imported from DIR (default: the src/ beside this
@@ -37,6 +38,8 @@ KERNELS = {"gaussian": ["--kernel", "gaussian", "--kernel-width", "2.0"],
 RUNS = {  # name: train flags beyond the inputs and FIT
     "rmen": ["--variant", "rmen"],
     "rmen-minibatch": ["--variant", "rmen", "--batch-size", "64"],
+    "rmen-lambda1-only": ["--variant", "rmen", "--lambda2", "0"],
+    "rmen-lambda2-only": ["--variant", "rmen", "--lambda1", "0"],
     "men": ["--variant", "men"],
     "appgrad": ["--variant", "appgrad"],
     "closed-form": ["--variant", "closed-form"],
