@@ -2,7 +2,9 @@
 
 Full-batch and minibatch momentum solvers, a kernelized variant, the
 closed-form classical baseline, planted-correlation synthetic data,
-evaluation metrics, and a batch CLI.
+evaluation metrics, and a batch CLI.  The package namespace holds the
+public API only; the solver, regularizer and Gram internals live in their
+modules and are not API.
 """
 from .baselines import CCASolution, appgrad_config, cca_closed_form, men_cca_mode
 from .core import (
@@ -15,7 +17,6 @@ from .core import (
     ViewMatrix,
     center,
     center_with_means,
-    validate_dataset,
 )
 from .data_io import (
     MODEL_MAGIC,
@@ -36,35 +37,11 @@ from .kernel import (
     KernelKind,
     KernelModel,
     KernelSpec,
-    cross_gram,
     fit_kernel,
-    gram_gaussian,
-    gram_linear,
     project_kernel,
 )
 from .metrics import PccReport, constraint_residual, pcc, principal_angles
-from .regularizers import (
-    SInverseOperator,
-    apply_s_inverse,
-    build_s_inverse,
-    hq_diagonal,
-    l21_norm,
-    nuclear_norm,
-)
-from .solver import (
-    IterationContext,
-    build_context,
-    fit_full,
-    fit_stochastic,
-    grad_u,
-    grad_v,
-    momentum_step,
-    normalize,
-    objective,
-    pair_moments,
-    project,
-    second_moments,
-)
+from .solver import fit_full, fit_stochastic, project
 
 __version__ = "0.1.0"
 
@@ -74,7 +51,6 @@ __all__ = [
     "FitReport",
     "GramMatrix",
     "Hyperparams",
-    "IterationContext",
     "KernelKind",
     "KernelModel",
     "KernelSpec",
@@ -84,46 +60,28 @@ __all__ = [
     "PccReport",
     "Penalty",
     "RmenccaError",
-    "SInverseOperator",
     "SyntheticSpec",
     "Termination",
     "TwoViewDataset",
     "ViewMatrix",
     "appgrad_config",
-    "apply_s_inverse",
-    "build_context",
-    "build_s_inverse",
     "cca_closed_form",
     "center",
     "center_with_means",
     "constraint_residual",
-    "cross_gram",
     "fit_full",
     "fit_kernel",
     "fit_stochastic",
-    "grad_u",
-    "grad_v",
-    "gram_gaussian",
-    "gram_linear",
-    "hq_diagonal",
-    "l21_norm",
     "load_dsv",
     "load_mnist_halves",
     "load_model",
     "men_cca_mode",
-    "momentum_step",
-    "normalize",
-    "nuclear_norm",
-    "objective",
-    "pair_moments",
     "pcc",
     "principal_angles",
     "project",
     "project_kernel",
     "save_dsv",
     "save_model",
-    "second_moments",
     "split_train_validation",
     "synth_two_view",
-    "validate_dataset",
 ]

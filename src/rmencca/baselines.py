@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CanonicalPair, Hyperparams, Penalty, TwoViewDataset
-from .errors import RankBudgetTooLarge, SingularCovariance
+from .errors import RankBudgetTooLarge
 from .solver import inverse_sqrt, second_moments
 
 
@@ -27,21 +27,19 @@ class CCASolution:
     correlations: tuple[float, ...]
 
 
-def cca_closed_form(
-    ds: TwoViewDataset, k: int, ridge: float | None = None
-) -> CCASolution:
+def cca_closed_form(ds: TwoViewDataset, k: int) -> CCASolution:
     """Classical CCA: top-k SVD of (XX^T/n)^(-1/2) (XY^T/n) (YY^T/n)^(-1/2).
 
-    ridge is added to the covariance eigenvalues before the inverse square
-    root; None picks 1e-8 * trace(cov)/d per view, a scale-aware floor.  An
-    explicit ridge of 0 demands genuinely nonsingular covariances.
+    A ridge of 1e-8 * trace(cov)/d per view, a scale-aware floor, is added to
+    the covariance eigenvalues before the inverse square root, so a singular
+    covariance still gives finite correlations.
     """
     d1, d2 = ds.x.d, ds.y.d
     if k < 1 or k > min(d1, d2):
         raise RankBudgetTooLarge(f"k={k} exceeds min(d1, d2) = {min(d1, d2)}")
     stats = second_moments(ds.x.data, ds.y.data)
-    wx = _inv_sqrt(stats.cxx, ridge)
-    wy = _inv_sqrt(stats.cyy, ridge)
+    wx = _inv_sqrt(stats.cxx)
+    wy = _inv_sqrt(stats.cyy)
     left, svals, right_t = np.linalg.svd(wx @ stats.cxy @ wy)
     u = _exact_rewhiten(wx @ left[:, :k], stats.cxx)
     v = _exact_rewhiten(wy @ right_t[:k].T, stats.cyy)
@@ -63,16 +61,8 @@ def men_cca_mode(hp: Hyperparams) -> Hyperparams:
     return dataclasses.replace(hp, penalty=Penalty.FROBENIUS)
 
 
-def _inv_sqrt(cov: np.ndarray, ridge: float | None) -> np.ndarray:
-    if ridge is None:
-        ridge = 1e-8 * float(np.trace(cov)) / cov.shape[0]
-    if ridge < 0.0:
-        raise ValueError(f"ridge must be nonnegative, got {ridge}")
-    factor, eigvals = inverse_sqrt(cov, ridge)
-    if ridge == 0.0 and eigvals[0] < 1e-12:
-        raise SingularCovariance(
-            f"covariance eigenvalue {eigvals[0]:.3e} below 1e-12 with ridge=0"
-        )
+def _inv_sqrt(cov: np.ndarray) -> np.ndarray:
+    factor, _ = inverse_sqrt(cov, 1e-8 * float(np.trace(cov)) / cov.shape[0])
     return factor
 
 

@@ -7,6 +7,12 @@ It is stored sample-major: `data` is the transpose of a C-contiguous n x d
 array (F-order), so each sample's d features are contiguous in memory and a
 gather of samples (a minibatch, a train/validation split) reads whole
 contiguous samples.
+
+A view's `feature_means` is everything subtracted from its raw values: zeros
+for a view made by `ViewMatrix.of`, and each centering (`center`,
+`center_with_means`) adds the means it subtracts.  `center` always subtracts
+the view's own current means, so a centered subset of a centered view is
+centered again.
 """
 from __future__ import annotations
 
@@ -40,17 +46,10 @@ class ViewMatrix:
     `data` has the logical shape (d, n) and is always F-contiguous, i.e. the
     transpose of a C-contiguous (n, d) array; construction converts other
     layouts (one copy) and leaves sample-major float64 data as it is.
-
-    `centered` records that `feature_means` have been subtracted from the
-    rows.  For the output of center() the means are the view's own sample
-    means, so each row sums to (numerically) zero; a view centered with
-    *training* means (center_with_means) carries the flag too, even though
-    its rows need not sum to zero.
     """
 
     data: np.ndarray
     feature_means: np.ndarray
-    centered: bool
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "data", np.asfortranarray(self.data, dtype=np.float64))
@@ -58,7 +57,7 @@ class ViewMatrix:
     @classmethod
     def of(cls, data) -> "ViewMatrix":
         m = _as_matrix(data)
-        return cls(data=m, feature_means=np.zeros(m.shape[0]), centered=False)
+        return cls(data=m, feature_means=np.zeros(m.shape[0]))
 
     @property
     def d(self) -> int:
@@ -153,20 +152,11 @@ class FitReport:
 # ---------------------------------------------------------------- operations
 
 def center(view: ViewMatrix) -> ViewMatrix:
-    """Subtract per-feature sample means.
-
-    Idempotent: a view already flagged centered is returned as-is.
-    """
+    """Subtract the view's own per-feature sample means, so each row sums to
+    (numerically) zero whatever was subtracted before."""
     if view.n < 2:
         raise DegenerateInput(f"centering needs n >= 2, got n={view.n}")
-    if view.centered:
-        return view
-    means = view.data.mean(axis=1)
-    return ViewMatrix(
-        data=view.data - means[:, None],
-        feature_means=means,
-        centered=True,
-    )
+    return _subtract(view, view.data.mean(axis=1))
 
 
 def center_with_means(view: ViewMatrix, means: np.ndarray) -> ViewMatrix:
@@ -176,10 +166,13 @@ def center_with_means(view: ViewMatrix, means: np.ndarray) -> ViewMatrix:
         raise ValueError(
             f"means length {means.shape[0]} != feature count {view.d}"
         )
+    return _subtract(view, means)
+
+
+def _subtract(view: ViewMatrix, means: np.ndarray) -> ViewMatrix:
     return ViewMatrix(
         data=view.data - means[:, None],
-        feature_means=means,
-        centered=True,
+        feature_means=view.feature_means + means,
     )
 
 

@@ -166,8 +166,8 @@ def split_train_validation(
 
 def _take(ds: TwoViewDataset, idx: np.ndarray) -> TwoViewDataset:
     return TwoViewDataset(
-        x=ViewMatrix(ds.x.data[:, idx], ds.x.feature_means, ds.x.centered),
-        y=ViewMatrix(ds.y.data[:, idx], ds.y.feature_means, ds.y.centered),
+        x=ViewMatrix(ds.x.data[:, idx], ds.x.feature_means),
+        y=ViewMatrix(ds.y.data[:, idx], ds.y.feature_means),
     )
 
 

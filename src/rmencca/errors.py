@@ -3,10 +3,11 @@
 Every error raised by this package derives from RmenccaError so callers can
 catch the whole family at once.  Each class states its own CLI exit code as a
 class keyword (`exit_code`), and the CLI exits with it.  The codes are
-distinct and stable.  The base class's code is 1.  The CLI adds two codes for
-builtin errors, 3 for a missing file and 24 for running out of memory, and
-exits with NonFiniteIterate's code on a numpy LinAlgError and with
-ConfigError's on any other ValueError or OSError.
+distinct and stable; the code of a deleted class is retired, not reused, so
+16 and 19 belong to no class.  The base class's code is 1.  The CLI adds two
+codes for builtin errors, 3 for a missing file and 24 for running out of
+memory, and exits with NonFiniteIterate's code on a numpy LinAlgError and
+with ConfigError's on any other ValueError or OSError.
 """
 from __future__ import annotations
 
@@ -47,20 +48,12 @@ class DimensionMismatch(RmenccaError, exit_code=15):
 
 
 # numerics
-class InvalidSmoothing(RmenccaError, exit_code=16):
-    """zeta must be strictly positive."""
-
-
 class AllZeroInput(RmenccaError, exit_code=17):
     """Whitening impossible: the projected Gram is numerically zero."""
 
 
 class NonFiniteIterate(RmenccaError, exit_code=18):
     """An update produced NaN/inf or a diverging objective (try a smaller eta)."""
-
-
-class SingularCovariance(RmenccaError, exit_code=19):
-    """Covariance eigenvalue below 1e-12 with ridge disabled."""
 
 
 class RankDeficientBasis(RmenccaError, exit_code=20):

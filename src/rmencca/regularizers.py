@@ -3,11 +3,14 @@
 l21 norm, its half-quadratic surrogate, the nuclear norm, and the factored
 S-inverse operator representing (M + zeta I)^(-1/2) for M = Z Z^T,
 Z = [proj_x proj_y].  M has rank at most 2k, so the operator is factored from
-an eigh of the 2k x 2k Gram Z^T Z.  The operator can be built in n-space from
-Z itself, or from an image T Z of Z under a linear map T (the solver uses
-T = X and T = Y) together with the Gram's eigh, so that T S^-1 T^T is applied
-without ever forming an n-length array; one eigh serves both images and the
-nuclear norm.
+an eigh of the 2k x 2k Gram Z^T Z.  It has one mode: it is built from an
+image T Z of Z under a linear map T (the solver uses T = X and T = Y, the
+images coming from the pair moments) together with the Gram's eigh, so that
+T S^-1 T^T is applied without ever forming an n-length array; one eigh serves
+both images and the nuclear norm.  The n-space operator is the case T = I.
+
+zeta reaches these functions only as Hyperparams.zeta, which is checked
+finite and positive there, so it is not checked again here.
 
 The half-quadratic surrogate puts Tr(M^T diag(w) M) in place of ||M||_21, with
 the weight vector w_i = 1 / (2 sqrt(||row_i||^2 + zeta)) frozen at the
@@ -18,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DimensionMismatch, InvalidSmoothing
 
 # eigenvalues of the Gram Z^T Z below this fraction of the largest are treated
 # as numerically zero.  The Gram squares the singular values of Z, and eigh
@@ -42,7 +43,6 @@ class SInverseOperator:
     basis: np.ndarray
     scaled_eigs: np.ndarray
     complement_scale: float
-    n: int
 
 
 def l21_norm(m) -> float:
@@ -78,62 +78,35 @@ def hq_diagonal(m, zeta: float) -> np.ndarray:
     weights[i] = 1 / (2 sqrt(||row_i||^2 + zeta)); the smoothing keeps the
     weight finite for zero rows (bounded by 1 / (2 sqrt(zeta))).
     """
-    if zeta <= 0:
-        raise InvalidSmoothing(f"zeta must be positive, got {zeta}")
     m = np.asarray(m, dtype=np.float64)
     sq = (m * m).sum(axis=1)
     return 1.0 / (2.0 * np.sqrt(sq + zeta))
 
 
-def build_s_inverse(proj_x, proj_y, zeta: float, spectrum=None) -> SInverseOperator:
-    """Factor the operator from the two projection blocks of Z.
+def build_s_inverse(proj_x, proj_y, zeta: float, spectrum) -> SInverseOperator:
+    """Factor the operator from the two blocks of an image T Z = [proj_x proj_y].
 
-    The eigh of the 2k x 2k Gram Z^T Z = W diag(lam) W^T yields the nonzero
-    spectrum of M (the eigenvalues lam) and Phi = Z W lam^(-1/2).  Without
-    `spectrum` the blocks are Z itself (n x k each, T the identity).  With
-    `spectrum` = (lam, W), the eigh of Z^T Z, they may instead be the blocks
-    of an image T Z, and the basis is T Phi.
+    `spectrum` = (lam, W) is the eigh of the 2k x 2k Gram Z^T Z; it yields
+    the nonzero spectrum of M (the eigenvalues lam) and
+    Phi = Z W lam^(-1/2), so the basis is T Phi.
     """
-    if zeta <= 0:
-        raise InvalidSmoothing(f"zeta must be positive, got {zeta}")
-    proj_x = np.asarray(proj_x, dtype=np.float64)
-    proj_y = np.asarray(proj_y, dtype=np.float64)
-    if proj_x.shape[0] != proj_y.shape[0]:
-        raise DimensionMismatch(
-            f"projection row counts differ: {proj_x.shape[0]} vs {proj_y.shape[0]}"
-        )
     concat = np.concatenate([proj_x, proj_y], axis=1)
-    if spectrum is None:
-        spectrum = np.linalg.eigh(concat.T @ concat)
     lam, w = spectrum
-    if w.shape != (concat.shape[1],) * 2:
-        raise DimensionMismatch(
-            f"Gram eigenvectors of shape {w.shape} for {concat.shape[1]} projection columns"
-        )
     keep = _kept(lam)
     lam = lam[keep]
     return SInverseOperator(
         basis=concat @ (w[:, keep] / np.sqrt(lam)),
         scaled_eigs=1.0 / np.sqrt(lam + zeta),
         complement_scale=zeta ** -0.5,
-        n=concat.shape[0],
     )
 
 
-def apply_s_inverse(op: SInverseOperator, m, outer=None) -> np.ndarray:
-    """T S^-1 T^T m for an n x c block m, in O(n c r).
+def apply_s_inverse(op: SInverseOperator, m, outer) -> np.ndarray:
+    """T S^-1 T^T m for a block m of the image space, in O(n c r) for n x c.
 
-    `outer` is T T^T m; it defaults to m, which is right when T is the
-    identity.
+    `outer` is T T^T m (m itself when T is the identity).
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim == 1:
-        m = m[:, None]
-    if m.shape[0] != op.n:
-        raise DimensionMismatch(
-            f"operator acts on {op.n} rows, got {m.shape[0]}"
-        )
     coeff = op.basis.T @ m
-    return op.complement_scale * (m if outer is None else outer) + op.basis @ (
+    return op.complement_scale * outer + op.basis @ (
         (op.scaled_eigs - op.complement_scale)[:, None] * coeff
     )

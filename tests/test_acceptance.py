@@ -15,8 +15,17 @@ import pytest
 
 import rmencca as r
 from rmencca.cli import main
+from rmencca.regularizers import apply_s_inverse, hq_diagonal, l21_norm, nuclear_norm
+from rmencca.solver import build_context, momentum_step, normalize, pair_moments, second_moments
 
-from _helpers import fresh_grad_u, fresh_grad_v, mean_pcc, planted, slice_split
+from _helpers import (
+    fresh_grad_u,
+    fresh_grad_v,
+    mean_pcc,
+    n_space_s_inverse,
+    planted,
+    slice_split,
+)
 
 
 def _line(name: str, ok: bool, detail: str) -> None:
@@ -84,12 +93,12 @@ def test_gradients_match_finite_differences_on_twenty_instances():
         y = rng.standard_normal((d2, n))
         hp = r.Hyperparams(k=k, lambda1=0.3, lambda2=0.2, zeta=1e-4, eta=0.01)
         pair = r.CanonicalPair(
-            u=r.normalize(rng.standard_normal((d1, k)), x @ x.T / n, 0.0),
-            v=r.normalize(rng.standard_normal((d2, k)), y @ y.T / n, 0.0),
+            u=normalize(rng.standard_normal((d1, k)), x @ x.T / n, 0.0),
+            v=normalize(rng.standard_normal((d2, k)), y @ y.T / n, 0.0),
         )
-        stats = r.second_moments(x, y)
-        ctx = r.build_context(r.pair_moments(stats, pair), hp)
-        s_inv = r.build_s_inverse(x.T @ pair.u, y.T @ pair.v, hp.zeta)
+        stats = second_moments(x, y)
+        ctx = build_context(pair_moments(stats, pair), hp)
+        s_inv = n_space_s_inverse(x.T @ pair.u, y.T @ pair.v, hp.zeta)
         u_tilde = rng.standard_normal((d1, k))
         v_tilde = rng.standard_normal((d2, k))
 
@@ -98,7 +107,7 @@ def test_gradients_match_finite_differences_on_twenty_instances():
             diff = proj - partner_proj
             val = 0.5 / n * float((diff * diff).sum())
             val += 0.5 * hp.lambda1 * float((weights * (tilde * tilde).sum(axis=1)).sum())
-            val += 0.5 * hp.lambda2 * float((proj * r.apply_s_inverse(s_inv, proj)).sum())
+            val += 0.5 * hp.lambda2 * float((proj * apply_s_inverse(s_inv, proj, proj)).sum())
             return val
 
         for analytic, tilde, view, partner_proj, weights in (
@@ -131,7 +140,7 @@ def test_half_quadratic_tightness_identity():
         cols = int(rng.integers(1, 6))
         m = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-2, 2)
         zeta = 10.0 ** rng.uniform(-10, -2)
-        w = r.hq_diagonal(m, zeta)
+        w = hq_diagonal(m, zeta)
         surrogate = float((w * (m * m).sum(axis=1)).sum())  # Tr(m^T diag(w) m)
         lhs = surrogate + float((zeta * w + 1.0 / (4.0 * w)).sum())
         rhs = float(np.sqrt((m * m).sum(axis=1) + zeta).sum())
@@ -148,10 +157,10 @@ def test_nuclear_norm_variational_identity():
     worst = 0.0
     for _ in range(100):
         z = rng.standard_normal((8, 4))
-        op = r.build_s_inverse(z[:, :2], z[:, 2:], 1e-10)
+        op = n_space_s_inverse(z[:, :2], z[:, 2:], 1e-10)
         trace_sqrt = float((1.0 / op.scaled_eigs).sum())
-        trace_sqrt += (op.n - op.scaled_eigs.shape[0]) * np.sqrt(1e-10)
-        rel = abs(trace_sqrt - r.nuclear_norm(z)) / r.nuclear_norm(z)
+        trace_sqrt += (z.shape[0] - op.scaled_eigs.shape[0]) * np.sqrt(1e-10)
+        rel = abs(trace_sqrt - nuclear_norm(z)) / nuclear_norm(z)
         worst = max(worst, rel)
     _line("nuclear variational identity", worst < 1e-3,
           f"worst relative error {worst:.2e} (budget 1e-3)")
@@ -169,12 +178,12 @@ def test_s_inverse_operator_matches_dense_oracle():
         zeta = 10.0 ** rng.uniform(-5, -1)
         px = rng.standard_normal((n, k))
         py = rng.standard_normal((n, k))
-        op = r.build_s_inverse(px, py, zeta)
+        op = n_space_s_inverse(px, py, zeta)
         mm = px @ px.T + py @ py.T + zeta * np.eye(n)
         w, e = np.linalg.eigh(mm)
         dense = (e / np.sqrt(w)) @ e.T
         probe = rng.standard_normal((n, 4))
-        got = r.apply_s_inverse(op, probe)
+        got = apply_s_inverse(op, probe, probe)
         want = dense @ probe
         worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
     _line("S-inverse operator", worst <= 1e-8,
@@ -194,18 +203,18 @@ def test_row_norm_penalty_decreases_monotonically():
         n = train.n
         cov_x = x @ x.T / n
         rng = np.random.default_rng(seed + 1000)
-        v_fixed = r.normalize(rng.standard_normal((9, 3)), y @ y.T / n, 0.0)
+        v_fixed = normalize(rng.standard_normal((9, 3)), y @ y.T / n, 0.0)
         u_tilde = np.linalg.solve(cov_x, (x @ y.T / n) @ v_fixed)
         hp = r.Hyperparams(k=3, lambda1=0.05, lambda2=0.0, eta=0.01, gamma=0.0)
         delta = np.zeros_like(u_tilde)
-        norms = [r.l21_norm(u_tilde)]
-        stats = r.second_moments(x, y)
+        norms = [l21_norm(u_tilde)]
+        stats = second_moments(x, y)
         for _ in range(50):
             pair = r.CanonicalPair(u=u_tilde, v=v_fixed)
-            ctx = r.build_context(r.pair_moments(stats, pair), hp)
+            ctx = build_context(pair_moments(stats, pair), hp)
             grad = fresh_grad_u(stats, ctx, hp, u_tilde, v_fixed)
-            u_tilde, delta = r.momentum_step(u_tilde, delta, grad, hp)
-            norms.append(r.l21_norm(u_tilde))
+            u_tilde, delta = momentum_step(u_tilde, delta, grad, hp)
+            norms.append(l21_norm(u_tilde))
         worst_rise = max(worst_rise, float(np.diff(norms).max()))
     _line("l21 monotonicity", worst_rise <= 1e-9,
           f"worst per-step rise {worst_rise:.3e} (slack 1e-9)")
@@ -263,8 +272,8 @@ def test_linear_kernel_matches_primal_solver():
     cx = dual_scale(train.x)
     cy = dual_scale(train.y)
     scaled_train = r.TwoViewDataset(
-        x=r.ViewMatrix(cx * train.x.data, train.x.feature_means, True),
-        y=r.ViewMatrix(cy * train.y.data, train.y.feature_means, True),
+        x=r.ViewMatrix(cx * train.x.data, train.x.feature_means),
+        y=r.ViewMatrix(cy * train.y.data, train.y.feature_means),
     )
     linear = r.KernelSpec(kind=r.KernelKind.LINEAR)
     worst = 0.0
@@ -277,8 +286,8 @@ def test_linear_kernel_matches_primal_solver():
         km = r.fit_kernel(scaled_train, linear, linear, hp_dual)
         a, b = r.project_kernel(
             km,
-            r.ViewMatrix(cx * val.x.data, val.x.feature_means, True),
-            r.ViewMatrix(cy * val.y.data, val.y.feature_means, True),
+            r.ViewMatrix(cx * val.x.data, val.x.feature_means),
+            r.ViewMatrix(cy * val.y.data, val.y.feature_means),
         )
         worst = max(worst, abs(p_primal - mean_pcc(a, b)))
     _line("linear-kernel duality", worst <= 0.01,

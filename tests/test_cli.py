@@ -514,8 +514,7 @@ def test_exit_codes_live_on_the_error_classes():
         "EmptyInput": 6, "BadMagic": 7, "TruncatedFile": 8,
         "VersionMismatch": 9, "CorruptFile": 10, "SampleCountMismatch": 11,
         "NonFiniteEntry": 12, "RankBudgetTooLarge": 13, "BatchTooLarge": 14,
-        "DimensionMismatch": 15, "InvalidSmoothing": 16, "AllZeroInput": 17,
-        "NonFiniteIterate": 18, "SingularCovariance": 19,
+        "DimensionMismatch": 15, "AllZeroInput": 17, "NonFiniteIterate": 18,
         "RankDeficientBasis": 20, "InvalidKernelParam": 21,
         "TooLargeForKernel": 22, "DegenerateInput": 23,
     }

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rmencca as r
+from rmencca.core import validate_dataset
 from rmencca.errors import (
     BatchTooLarge,
     DegenerateInput,
@@ -17,7 +18,6 @@ def test_view_of_coerces_to_float64():
     v = r.ViewMatrix.of([[1, 2, 3], [4, 5, 6]])
     assert v.data.dtype == np.float64
     assert v.d == 2 and v.n == 3
-    assert not v.centered
     assert np.all(v.feature_means == 0.0)
 
 
@@ -32,14 +32,29 @@ def test_center_subtracts_row_means():
     rng = np.random.default_rng(0)
     v = r.ViewMatrix.of(rng.standard_normal((5, 40)) + 3.0)
     c = r.center(v)
-    assert c.centered
     assert np.abs(c.data.sum(axis=1)).max() < 1e-8 * c.n
     assert np.allclose(c.feature_means, v.data.mean(axis=1))
 
 
 def test_center_is_idempotent():
+    """Centering twice keeps the data and feature_means within rounding."""
     v = r.center(r.ViewMatrix.of(np.arange(12.0).reshape(3, 4)))
-    assert r.center(v) is v
+    again = r.center(v)
+    assert np.allclose(again.data, v.data, rtol=0.0, atol=1e-12)
+    assert np.allclose(again.feature_means, v.feature_means, rtol=0.0, atol=1e-12)
+
+
+def test_center_recenters_a_split_of_a_centered_view():
+    """A split's training half of a centered dataset, centered again, has
+    rows summing to zero, and its feature_means are the raw half's means."""
+    raw = r.ViewMatrix.of(np.random.default_rng(0).standard_normal((3, 200)) + 5.0)
+    whole = r.TwoViewDataset(x=r.center(raw), y=r.center(raw))
+    train, _ = r.split_train_validation(whole, 0.5, seed=1)
+    raw_train, _ = r.split_train_validation(r.TwoViewDataset(x=raw, y=raw), 0.5, seed=1)
+    c = r.center(train.x)
+    assert np.abs(c.data.sum(axis=1)).max() <= 1e-12
+    assert np.allclose(c.feature_means, raw_train.x.data.mean(axis=1),
+                       rtol=0.0, atol=1e-12)
 
 
 def test_center_needs_two_samples():
@@ -50,7 +65,6 @@ def test_center_needs_two_samples():
 def test_center_with_means_keeps_flag_but_not_zero_sums():
     v = r.ViewMatrix.of(np.ones((2, 3)))
     c = r.center_with_means(v, np.array([0.25, 0.5]))
-    assert c.centered
     assert np.allclose(c.data[0], 0.75)
     assert np.allclose(c.data[1], 0.5)
 
@@ -112,6 +126,7 @@ def test_hyperparams_accepts_penalty_string():
         {"k": 2, "zeta": float("inf")},
         {"k": 2, "tol": float("nan")},
         {"k": 2, "tol": float("inf")},
+        {"k": 2, "zeta": -1e-8},
     ],
 )
 def test_hyperparams_validation(kwargs):
@@ -128,27 +143,27 @@ def _dataset(x, y):
 def test_validate_rejects_sample_mismatch():
     ds = _dataset(np.ones((2, 5)), np.ones((2, 6)))
     with pytest.raises(SampleCountMismatch):
-        r.validate_dataset(ds, r.Hyperparams(k=1))
+        validate_dataset(ds, r.Hyperparams(k=1))
 
 
 def test_validate_rejects_non_finite():
     x = np.ones((2, 5))
     x[1, 3] = np.nan
     with pytest.raises(NonFiniteEntry):
-        r.validate_dataset(_dataset(x, np.ones((2, 5))), r.Hyperparams(k=1))
+        validate_dataset(_dataset(x, np.ones((2, 5))), r.Hyperparams(k=1))
     y = np.ones((2, 5))
     y[0, 0] = np.inf
     with pytest.raises(NonFiniteEntry):
-        r.validate_dataset(_dataset(np.ones((2, 5)), y), r.Hyperparams(k=1))
+        validate_dataset(_dataset(np.ones((2, 5)), y), r.Hyperparams(k=1))
 
 
 def test_validate_rejects_oversized_rank_budget():
     ds = _dataset(np.ones((3, 10)), np.ones((4, 10)))
     with pytest.raises(RankBudgetTooLarge):
-        r.validate_dataset(ds, r.Hyperparams(k=4))
+        validate_dataset(ds, r.Hyperparams(k=4))
 
 
 def test_validate_rejects_oversized_batch():
     ds = _dataset(np.ones((3, 10)), np.ones((4, 10)))
     with pytest.raises(BatchTooLarge):
-        r.validate_dataset(ds, r.Hyperparams(k=2, batch_size=11))
+        validate_dataset(ds, r.Hyperparams(k=2, batch_size=11))

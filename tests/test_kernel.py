@@ -24,7 +24,7 @@ def test_gaussian_gram_hand_values():
     # three points on a line at 0, w*sqrt(2), and 10
     w = 0.7
     pts = np.array([[0.0, w * np.sqrt(2.0), 10.0]])
-    gram = r.gram_gaussian(r.ViewMatrix.of(pts), width=w)
+    gram = kernel.gram_gaussian(r.ViewMatrix.of(pts), width=w)
     k = gram.values
     assert np.allclose(np.diag(k), 1.0)
     assert k[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-12)
@@ -35,7 +35,7 @@ def test_gaussian_gram_hand_values():
 def test_gaussian_gram_matches_pairwise_loop():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 30))
-    gram = r.gram_gaussian(r.ViewMatrix.of(x), width=1.3)
+    gram = kernel.gram_gaussian(r.ViewMatrix.of(x), width=1.3)
     for i in range(0, 30, 7):
         for j in range(0, 30, 5):
             d2 = float(((x[:, i] - x[:, j]) ** 2).sum())
@@ -45,7 +45,7 @@ def test_gaussian_gram_matches_pairwise_loop():
 
 def test_gaussian_gram_is_positive_semidefinite():
     rng = np.random.default_rng(1)
-    gram = r.gram_gaussian(r.ViewMatrix.of(rng.standard_normal((6, 150))), width=0.8)
+    gram = kernel.gram_gaussian(r.ViewMatrix.of(rng.standard_normal((6, 150))), width=0.8)
     eigvals = np.linalg.eigvalsh(gram.values)
     assert eigvals.min() > -1e-8
 
@@ -53,10 +53,10 @@ def test_gaussian_gram_is_positive_semidefinite():
 def test_linear_gram_oracles():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((5, 12))
-    gram = r.gram_linear(r.ViewMatrix.of(x))
+    gram = kernel.gram_linear(r.ViewMatrix.of(x))
     assert np.allclose(gram.values, x.T @ x, atol=1e-12)
     q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
-    ortho = r.gram_linear(r.ViewMatrix.of(q))
+    ortho = kernel.gram_linear(r.ViewMatrix.of(q))
     assert np.allclose(ortho.values, np.eye(3), atol=1e-12)
 
 
@@ -135,17 +135,17 @@ def test_cross_gram_matches_loop_and_checks_features():
     rng = np.random.default_rng(4)
     train = r.ViewMatrix.of(rng.standard_normal((3, 20)))
     test = r.ViewMatrix.of(rng.standard_normal((3, 7)))
-    gram = r.gram_gaussian(train, width=1.1)
-    kt = r.cross_gram(gram, test)
+    gram = kernel.gram_gaussian(train, width=1.1)
+    kt = kernel.cross_gram(gram, test)
     assert kt.shape == (7, 20)
     for i in range(7):
         for j in range(0, 20, 6):
             d2 = float(((test.data[:, i] - train.data[:, j]) ** 2).sum())
             assert kt[i, j] == pytest.approx(np.exp(-d2 / (2 * 1.1 ** 2)), abs=1e-12)
-    lin = r.gram_linear(train)
-    assert np.allclose(r.cross_gram(lin, test), test.data.T @ train.data)
+    lin = kernel.gram_linear(train)
+    assert np.allclose(kernel.cross_gram(lin, test), test.data.T @ train.data)
     with pytest.raises(DimensionMismatch):
-        r.cross_gram(gram, r.ViewMatrix.of(rng.standard_normal((4, 7))))
+        kernel.cross_gram(gram, r.ViewMatrix.of(rng.standard_normal((4, 7))))
 
 
 def _sinusoid(n, seed):
@@ -283,7 +283,7 @@ def test_kernel_whitening_constraints_hold_every_iteration():
     sy = r.KernelSpec(kind=r.KernelKind.GAUSSIAN, width=0.15)
     covs = []
     for view, spec in ((ds.x, sx), (ds.y, sy)):
-        gram = r.gram_gaussian(view, spec.width).values
+        gram = kernel.gram_gaussian(view, spec.width).values
         covs.append(gram @ gram / ds.n)
     worst = 0.0
 

@@ -9,10 +9,11 @@ import pytest
 import rmencca as r
 from rmencca import solver
 from rmencca.errors import AllZeroInput, BatchTooLarge, DimensionMismatch, NonFiniteIterate
-from rmencca.regularizers import apply_s_inverse, build_s_inverse, l21_norm, nuclear_norm
+from rmencca.regularizers import apply_s_inverse, hq_diagonal, l21_norm, nuclear_norm
 from rmencca.solver import (
     build_context,
     momentum_step,
+    normalize,
     objective,
     pair_moments,
     second_moments,
@@ -24,6 +25,7 @@ from _helpers import (
     fresh_grad_u,
     fresh_grad_v,
     mean_pcc,
+    n_space_s_inverse,
     planted,
     random_dataset,
     slice_split,
@@ -53,14 +55,14 @@ def test_build_context_freezes_current_pair():
     assert np.allclose(stats.cxy, x @ y.T / 30)
     want_p = 1.0 / (2.0 * np.sqrt((pair.u ** 2).sum(axis=1) + hp.zeta))
     assert np.allclose(ctx.p, want_p)
-    direct = r.build_s_inverse(x.T @ pair.u, y.T @ pair.v, hp.zeta)
+    direct = n_space_s_inverse(x.T @ pair.u, y.T @ pair.v, hp.zeta)
     probe = rng.standard_normal((30, 2))
     # the context applies X S^-1 X^T and Y S^-1 Y^T; lift the n-space probe
     # into each view
     for view, op in ((x, ctx.s_inv_x), (y, ctx.s_inv_y)):
         m = view @ probe
         assert np.allclose(apply_s_inverse(op, m, view @ (view.T @ m)),
-                           view @ apply_s_inverse(direct, view.T @ m))
+                           view @ apply_s_inverse(direct, view.T @ m, view.T @ m))
 
 
 def test_build_context_frobenius_mode_uses_unit_weights():
@@ -96,7 +98,7 @@ def test_objective_frobenius_mode_squares_the_pair():
                                       penalty=r.Penalty.FROBENIUS))
     base = objective(pm, r.Hyperparams(k=2, lambda1=0.0, lambda2=0.0))
     assert l21 - base == pytest.approx(
-        0.5 * (r.l21_norm(pair.u) + r.l21_norm(pair.v)), rel=1e-12)
+        0.5 * (l21_norm(pair.u) + l21_norm(pair.v)), rel=1e-12)
     assert fro - base == pytest.approx(
         0.5 * float((pair.u ** 2).sum() + (pair.v ** 2).sum()), rel=1e-12)
 
@@ -115,7 +117,7 @@ def _surrogate_u(ds, pair, ctx, s_inv, hp, ut):
     val = 0.5 / ds.n * float((diff * diff).sum())
     val += 0.5 * hp.lambda1 * float((ctx.p * (ut * ut).sum(axis=1)).sum())
     proj = x.T @ ut
-    val += 0.5 * hp.lambda2 * float((proj * apply_s_inverse(s_inv, proj)).sum())
+    val += 0.5 * hp.lambda2 * float((proj * apply_s_inverse(s_inv, proj, proj)).sum())
     return val
 
 
@@ -125,7 +127,7 @@ def _surrogate_v(ds, pair, ctx, s_inv, hp, vt):
     val = 0.5 / ds.n * float((diff * diff).sum())
     val += 0.5 * hp.lambda1 * float((ctx.q * (vt * vt).sum(axis=1)).sum())
     proj = y.T @ vt
-    val += 0.5 * hp.lambda2 * float((proj * apply_s_inverse(s_inv, proj)).sum())
+    val += 0.5 * hp.lambda2 * float((proj * apply_s_inverse(s_inv, proj, proj)).sum())
     return val
 
 
@@ -139,7 +141,7 @@ def test_gradients_match_finite_differences():
     stats = _stats(ds)
     ctx = build_context(pair_moments(stats, pair), hp)
     # the surrogate's S-inverse, built in n-space independently of ctx
-    s_inv = build_s_inverse(ds.x.data.T @ pair.u, ds.y.data.T @ pair.v, hp.zeta)
+    s_inv = n_space_s_inverse(ds.x.data.T @ pair.u, ds.y.data.T @ pair.v, hp.zeta)
     h = 1e-6
     for analytic, surrogate, tilde in (
         (fresh_grad_u(stats, ctx, hp, ut, pair.v), _surrogate_u, ut),
@@ -175,8 +177,8 @@ def _n_space_reference(ds, pair, ut, vt, hp):
         return scale * m + phi @ (shift[:, None] * (phi.T @ m))
 
     if hp.penalty is r.Penalty.L21:
-        p = r.hq_diagonal(u, hp.zeta)
-        q = r.hq_diagonal(v, hp.zeta)
+        p = hq_diagonal(u, hp.zeta)
+        q = hq_diagonal(v, hp.zeta)
         row_penalty = l21_norm(u) + l21_norm(v)
     else:
         p, q = np.ones(ds.x.d), np.ones(ds.y.d)
@@ -246,13 +248,13 @@ def test_normalize_enforces_whitening():
     rng = np.random.default_rng(5)
     cov = rng.standard_normal((6, 10))
     cov = cov @ cov.T / 10
-    w = r.normalize(rng.standard_normal((6, 3)), cov, 0.0)
+    w = normalize(rng.standard_normal((6, 3)), cov, 0.0)
     assert np.linalg.norm(w.T @ cov @ w - np.eye(3)) < 1e-10
 
 
 def test_normalize_rejects_zero_input():
     with pytest.raises(AllZeroInput):
-        r.normalize(np.zeros((4, 2)), np.eye(4), 1e-10)
+        normalize(np.zeros((4, 2)), np.eye(4), 1e-10)
 
 
 # ------------------------------------------------------------------- fitting
