@@ -34,9 +34,9 @@ def cca_closed_form(ds: TwoViewDataset, k: int) -> CCASolution:
     the covariance eigenvalues before the inverse square root, so a singular
     covariance still gives finite correlations.
     """
-    d1, d2 = ds.x.d, ds.y.d
-    if k < 1 or k > min(d1, d2):
-        raise RankBudgetTooLarge(f"k={k} exceeds min(d1, d2) = {min(d1, d2)}")
+    bound = min(ds.x.d, ds.y.d, ds.n)
+    if not 1 <= k <= bound:
+        raise RankBudgetTooLarge(f"k={k} exceeds min(d1, d2, n) = {bound}")
     stats = second_moments(ds.x.data, ds.y.data)
     wx = _inv_sqrt(stats.cxx)
     wy = _inv_sqrt(stats.cyy)

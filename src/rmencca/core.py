@@ -70,10 +70,22 @@ class ViewMatrix:
 
 @dataclass(frozen=True, eq=False)
 class TwoViewDataset:
-    """Paired views; column j of x and column j of y describe the same sample."""
+    """Paired views; column j of x and column j of y describe the same sample.
+    Construction refuses unpaired views and a NaN or infinite entry."""
 
     x: ViewMatrix
     y: ViewMatrix
+
+    def __post_init__(self) -> None:
+        if self.x.n != self.y.n:
+            raise SampleCountMismatch(f"view x has {self.x.n} samples but view y has {self.y.n}")
+        for name, view in (("x", self.x), ("y", self.y)):
+            # a finite sum proves every entry finite without an n x d
+            # temporary, so only a sum that is not finite needs the scan
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = view.data.sum()
+            if not np.isfinite(total) and not np.isfinite(view.data).all():
+                raise NonFiniteEntry(f"view {name} contains non-finite entries")
 
     @property
     def n(self) -> int:
@@ -177,15 +189,7 @@ def _subtract(view: ViewMatrix, means: np.ndarray) -> ViewMatrix:
 
 
 def validate_dataset(ds: TwoViewDataset, hp: Hyperparams) -> None:
-    """Shape, finiteness, and budget checks shared by every fit entry point."""
-    if ds.x.n != ds.y.n:
-        raise SampleCountMismatch(
-            f"view x has {ds.x.n} samples but view y has {ds.y.n}"
-        )
-    if not np.isfinite(ds.x.data).all():
-        raise NonFiniteEntry("view x contains non-finite entries")
-    if not np.isfinite(ds.y.data).all():
-        raise NonFiniteEntry("view y contains non-finite entries")
+    """The budgets of a linear fit: k <= min(d1, d2, n) and batch_size <= n."""
     bound = min(ds.x.d, ds.y.d, ds.n)
     if hp.k > bound:
         raise RankBudgetTooLarge(

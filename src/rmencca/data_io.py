@@ -320,6 +320,8 @@ def _read_exact(fh, size: int, what: str) -> bytes:
 
 def _read_matrix(fh, what: str) -> np.ndarray:
     r, c = struct.unpack("<QQ", _read_exact(fh, 16, what + " shape"))
+    if r * c == 0:  # no matrix of a valid model is empty
+        raise CorruptFile(f"{what} is an empty {r} x {c} matrix")
     # a declared shape is trusted only as far as the file can back it, so a
     # corrupted header cannot make the reader allocate beyond the file size
     left = os.fstat(fh.fileno()).st_size - fh.tell()

@@ -29,10 +29,8 @@ from .errors import (
     DegenerateInput,
     DimensionMismatch,
     InvalidKernelParam,
-    NonFiniteEntry,
     NonFiniteIterate,
     RankBudgetTooLarge,
-    SampleCountMismatch,
     TooLargeForKernel,
 )
 from .solver import LowRank, SecondMoments, fit_full, fit_moments  # noqa: F401
@@ -152,19 +150,13 @@ def fit_kernel(
     on_iteration=None,
 ) -> KernelModel:
     """Build both Grams, form the statistics of the dual problem from them
-    and run the full-batch iteration on those statistics."""
+    and run the full-batch iteration on those statistics.  Refuses n < 2,
+    a set hp.batch_size (kernel fits are full-batch) and k > n."""
     n = ds.n
     if n < 2:
         raise DegenerateInput(f"kernel fit needs at least 2 samples, got {n}")
-    # the checks fit_full makes on a fit whose views are the two Grams,
-    # made on the input views
     if hp.batch_size is not None:
         raise ValueError("kernel fits are full-batch; hp.batch_size must be None")
-    if ds.y.n != n:
-        raise SampleCountMismatch(f"view x has {n} samples but view y has {ds.y.n}")
-    for name, view in (("x", ds.x), ("y", ds.y)):
-        if not np.isfinite(view.data).all():
-            raise NonFiniteEntry(f"view {name} contains non-finite entries")
     if hp.k > n:
         raise RankBudgetTooLarge(f"k={hp.k} exceeds the sample count n={n}")
     start = time.perf_counter()

@@ -74,6 +74,10 @@ def test_rank_budget_bounds():
         r.cca_closed_form(ds, k=0)
     with pytest.raises(RankBudgetTooLarge):
         r.cca_closed_form(ds, k=4)
+    # k = 5 <= min(d1, d2) on 4 samples: the fits' bound min(d1, d2, n)
+    few = centered(random_dataset(rng, 6, 5, 4))
+    with pytest.raises(RankBudgetTooLarge, match="min\\(d1, d2, n\\) = 4"):
+        r.cca_closed_form(few, k=5)
 
 
 def test_solver_parameterizations():

@@ -475,6 +475,51 @@ def test_distinct_exit_codes(tmp_path):
     assert main(["train", "--x", str(latin1), "--y", y_path]) == 5
 
 
+_Y_SHORT = "view x has 100 samples but view y has 80"
+_X_SHORT = "view x has 80 samples but view y has 100"
+_NAN = "view x contains non-finite entries"
+_INPUT_FAULTS = {
+    # name: (argv, exit code, error message); x.csv and y.csv have 100 rows,
+    # x80.csv and y80.csv their first 80, xnan.csv one 'nan' field
+    "train-y-shorter": (["train", "--x", "x.csv", "--y", "y80.csv"], 11, _Y_SHORT),
+    "compare-y-shorter": (["compare", "--variants", "rmen,closed-form",
+                           "--x", "x.csv", "--y", "y80.csv"], 11, _Y_SHORT),
+    "train-x-shorter": (["train", "--x", "x80.csv", "--y", "y.csv"], 11, _X_SHORT),
+    "compare-x-shorter": (["compare", "--variants", "rmen,closed-form",
+                           "--x", "x80.csv", "--y", "y.csv"], 11, _X_SHORT),
+    "closed-form-nan": (["train", "--variant", "closed-form",
+                         "--x", "xnan.csv", "--y", "y.csv"], 12, _NAN),
+    "eval-nan": (["eval", "--model", "model.rmen", "--x", "xnan.csv", "--y", "y.csv"],
+                 12, _NAN),
+    "eval-y-shorter": (["eval", "--model", "model.rmen", "--x", "x.csv", "--y", "y80.csv"],
+                       11, _Y_SHORT),
+}
+
+
+@pytest.mark.parametrize("case", list(_INPUT_FAULTS))
+def test_unpaired_or_non_finite_views_exit_typed(tmp_path, monkeypatch, capsys, case):
+    """Views of different row counts (exit 11) and a NaN in a view a command
+    fits or evaluates (exit 12) are refused where the two views become one
+    dataset, in every command and variant: one error line, no report, no
+    traceback."""
+    monkeypatch.chdir(tmp_path)
+    _synth_files(tmp_path, n=100)
+    lines = {}
+    for name in ("x", "y"):
+        lines[name] = (tmp_path / f"{name}.csv").read_text().splitlines(keepends=True)
+        (tmp_path / f"{name}80.csv").write_text("".join(lines[name][:80]))
+    first = lines["x"][0]
+    (tmp_path / "xnan.csv").write_text("nan" + first[first.index(","):] + "".join(lines["x"][1:]))
+    assert main(["train", "--x", "x.csv", "--y", "y.csv", "--k", "1", "--iters", "20",
+                 "--model-out", "model.rmen", "--out", "trained.json"]) == 0
+    capsys.readouterr()
+    argv, code, message = _INPUT_FAULTS[case]
+    assert main([*argv, "--out", "report.json"]) == code
+    out = capsys.readouterr()
+    assert out.err == f"error: {message}\n" and out.out == ""
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_stdout_report_when_no_out(tmp_path, capsys):
     x_path, y_path = _synth_files(tmp_path, n=100)
     assert main(["train", "--x", x_path, "--y", y_path, "--k", "1",

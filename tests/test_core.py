@@ -141,8 +141,8 @@ def _dataset(x, y):
 
 
 def test_validate_rejects_sample_mismatch():
-    ds = _dataset(np.ones((2, 5)), np.ones((2, 6)))
     with pytest.raises(SampleCountMismatch):
+        ds = _dataset(np.ones((2, 5)), np.ones((2, 6)))
         validate_dataset(ds, r.Hyperparams(k=1))
 
 

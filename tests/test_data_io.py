@@ -711,6 +711,15 @@ def _points(view, data):
     return replace(view, train_points=r.ViewMatrix.of(data))
 
 
+def _no_points(km):
+    """km with zero training points; ViewMatrix.of refuses such a view, the
+    constructor does not."""
+    empty = r.ViewMatrix(np.zeros((2, 0)), np.zeros(2))
+    return replace(km, w_x=km.w_x[:0], w_y=km.w_y[:0],
+                   gram_x=replace(km.gram_x, train_points=empty),
+                   gram_y=replace(km.gram_y, train_points=empty))
+
+
 _SHAPE_CASES = {
     # (matrix named in the error, model built from the fitted ones)
     "U and V column counts differ": ("U has 2 columns", lambda lin, km: replace(
@@ -730,6 +739,8 @@ _SHAPE_CASES = {
         km, kernel=replace(
             km.kernel, w_y=km.kernel.w_y[:29],
             gram_y=_points(km.kernel.gram_y, km.kernel.gram_y.train_points.data[:, :29])))),
+    "training points are empty": ("train_x is an empty 2 x 0 matrix", lambda lin, km: replace(
+        km, kernel=_no_points(km.kernel))),
 }
 
 

@@ -11,8 +11,11 @@ branch of the gradient runs), the rmen `train` again with its fit flags in a
 BLAS thread and rmencca imported from DIR (default: the src/ beside this
 script).  Prints one "sha256  name" line per output file.
 JSON reports are hashed without their wall_seconds fields, which change
-from run to run; every other file is hashed as written.  Running it against
-two source trees shows which outputs a change moved.
+from run to run; every other file is hashed as written.  Then runs each of
+FAILURES, commands that must fail, on inputs made from those files, and
+prints one "sha256  fail-name" line per command, the digest of its exit code
+and stderr, in which DIR reads "<src>".  Running it against two source trees
+shows which outputs and which error behaviours a change moved.
 """
 from __future__ import annotations
 
@@ -47,13 +50,48 @@ RUNS = {  # name: train flags beyond the inputs and FIT
        for kind, flags in KERNELS.items()},
 }
 
+# name: argv.  x480.csv and y480.csv hold the first 480 of the 600 rows of
+# x.csv and y.csv, xnan.csv is x.csv with its first field 'nan', ragged.csv
+# is x.csv with one field cut from its second row, and absent.csv does not
+# exist
+FAILURES = {
+    "ragged": ["train", "--x", "ragged.csv", "--y", "y.csv", *FIT],
+    "y-shorter": ["train", "--x", "x.csv", "--y", "y480.csv", *FIT],
+    "x-shorter": ["train", "--x", "x480.csv", "--y", "y.csv", *FIT],
+    "closed-form-nan": ["train", "--x", "xnan.csv", "--y", "y.csv", *FIT,
+                        "--variant", "closed-form"],
+    "eval-nan": ["eval", "--x", "xnan.csv", "--y", "y.csv", "--model", "rmen.rmen"],
+    "missing-input": ["train", "--x", "absent.csv", "--y", "y.csv", *FIT],
+}
 
-def _run(src: str, cwd: str, *argv: str) -> None:
+
+def _run(src: str, cwd: str, *argv: str, check: bool = True) -> subprocess.CompletedProcess:
+    """One CLI command; a command run with check=False has its stderr
+    captured and its stdout discarded."""
     env = dict(os.environ, PYTHONPATH=src)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     code = "import sys; from rmencca.cli import main; sys.exit(main(sys.argv[1:]))"
-    subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env, check=True)
+    capture = {} if check else {"stdout": subprocess.DEVNULL, "stderr": subprocess.PIPE}
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                          check=check, text=True, **capture)
+
+
+def _failure_inputs(tmp: str) -> None:
+    """The inputs FAILURES names, made from x.csv and y.csv."""
+    lines = {}
+    for name in ("x", "y"):
+        with open(os.path.join(tmp, f"{name}.csv"), encoding="utf-8") as fh:
+            lines[name] = fh.readlines()
+    made = {
+        "x480.csv": lines["x"][:480],
+        "y480.csv": lines["y"][:480],
+        "xnan.csv": ["nan" + lines["x"][0][lines["x"][0].index(","):], *lines["x"][1:]],
+        "ragged.csv": [lines["x"][0], lines["x"][1].split(",", 1)[1], *lines["x"][2:]],
+    }
+    for name, rows in made.items():
+        with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+            fh.writelines(rows)
 
 
 def _digest(path: str) -> str:
@@ -91,6 +129,11 @@ def main() -> None:
              "--out", "compare.json")
         for name in sorted(os.listdir(tmp)):
             print(f"{_digest(os.path.join(tmp, name))}  {name}")
+        _failure_inputs(tmp)
+        for name, argv in FAILURES.items():
+            done = _run(src, tmp, *argv, check=False)
+            outcome = f"{done.returncode}\n{done.stderr.replace(src, '<src>')}"
+            print(f"{hashlib.sha256(outcome.encode()).hexdigest()}  fail-{name}")
 
 if __name__ == "__main__":
     main()
