@@ -1,10 +1,10 @@
 """Multi-view CCA with robust matrix-elastic-net regularization.
 
-Full-batch and minibatch momentum solvers, a kernelized variant, the
-closed-form classical baseline, planted-correlation synthetic data,
-evaluation metrics, and a batch CLI.  The package namespace holds the
-public API only; the solver, regularizer and Gram internals live in their
-modules and are not API.
+A momentum solver run full-batch or on minibatches (hp.batch_size picks),
+a kernelized variant, the closed-form classical baseline,
+planted-correlation synthetic data, evaluation metrics, and a batch CLI.
+The package namespace holds the public API only; the solver, regularizer
+and Gram internals live in their modules and are not API.
 """
 from .baselines import CCASolution, appgrad_config, cca_closed_form, men_cca_mode
 from .core import (

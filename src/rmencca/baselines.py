@@ -35,7 +35,9 @@ def cca_closed_form(ds: TwoViewDataset, k: int) -> CCASolution:
     covariance still gives finite correlations.
     """
     bound = min(ds.x.d, ds.y.d, ds.n)
-    if not 1 <= k <= bound:
+    if k < 1:
+        raise RankBudgetTooLarge(f"k={k} must lie in [1, min(d1, d2, n)] = [1, {bound}]")
+    if k > bound:
         raise RankBudgetTooLarge(f"k={k} exceeds min(d1, d2, n) = {bound}")
     stats = second_moments(ds.x.data, ds.y.data)
     wx = _inv_sqrt(stats.cxx)

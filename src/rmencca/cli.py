@@ -47,7 +47,9 @@ from .data_io import (
 from .errors import ConfigError, DimensionMismatch, NonFiniteIterate, RmenccaError
 from .kernel import KernelKind, KernelSpec, fit_kernel, project_kernel
 from .metrics import constraint_residual, pcc
-from .solver import fit_full, fit_stochastic, project
+# fit_stochastic is fit_full; it stays bound because tracing tools such as
+# perfbench/spans.py wrap this module's fit_stochastic binding by name
+from .solver import fit_full, fit_stochastic, project  # noqa: F401
 
 VARIANTS = ("rmen", "men", "appgrad", "closed-form", "kernel-rmen")
 DEFAULT_VARIANT = "rmen"
@@ -334,8 +336,7 @@ def _fit_variant(variant: str, train_ds: TwoViewDataset, cfg: RunConfig) -> tupl
                 hp = men_cca_mode(hp)
             elif variant == "appgrad":
                 hp = appgrad_config(hp)
-            fit = fit_stochastic if hp.batch_size is not None else fit_full
-            report = fit(train_ds, hp)
+            report = fit_full(train_ds, hp)
             pair = report.pair
         iterations, termination = report.iterations_run, report.termination.value
         trace = report.objective_trace

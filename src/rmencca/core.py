@@ -25,6 +25,7 @@ from .errors import (
     BatchTooLarge,
     DegenerateInput,
     NonFiniteEntry,
+    NonFiniteIterate,
     RankBudgetTooLarge,
     SampleCountMismatch,
 )
@@ -165,10 +166,18 @@ class FitReport:
 
 def center(view: ViewMatrix) -> ViewMatrix:
     """Subtract the view's own per-feature sample means, so each row sums to
-    (numerically) zero whatever was subtracted before."""
+    (numerically) zero whatever was subtracted before.  Finite entries whose
+    mean overflows raise NonFiniteIterate."""
     if view.n < 2:
         raise DegenerateInput(f"centering needs n >= 2, got n={view.n}")
-    return _subtract(view, view.data.mean(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = view.data.mean(axis=1)
+    # a view holding NaN or inf is left for TwoViewDataset to refuse
+    if not np.isfinite(means).all() and np.isfinite(view.data).all():
+        raise NonFiniteIterate(
+            "feature means overflowed double precision; rescale the inputs"
+        )
+    return _subtract(view, means)
 
 
 def center_with_means(view: ViewMatrix, means: np.ndarray) -> ViewMatrix:

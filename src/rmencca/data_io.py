@@ -25,6 +25,7 @@ from .errors import (
     BadMagic,
     CorruptFile,
     EmptyInput,
+    InvalidKernelParam,
     NonNumericField,
     RaggedRows,
     TruncatedFile,
@@ -314,24 +315,26 @@ def _write_matrix(fh, m: np.ndarray) -> None:
 def _read_exact(fh, size: int, what: str) -> bytes:
     buf = fh.read(size)
     if len(buf) != size:
-        raise CorruptFile(f"unexpected end of file while reading {what}")
+        raise CorruptFile(f"{fh.name}: unexpected end of file while reading {what}")
     return buf
 
 
 def _read_matrix(fh, what: str) -> np.ndarray:
     r, c = struct.unpack("<QQ", _read_exact(fh, 16, what + " shape"))
     if r * c == 0:  # no matrix of a valid model is empty
-        raise CorruptFile(f"{what} is an empty {r} x {c} matrix")
+        raise CorruptFile(f"{fh.name}: {what} is an empty {r} x {c} matrix")
     # a declared shape is trusted only as far as the file can back it, so a
     # corrupted header cannot make the reader allocate beyond the file size
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if 8 * r * c > left:
         raise CorruptFile(
-            f"implausible {what} shape {r} x {c}: needs {8 * r * c} bytes, "
+            f"{fh.name}: implausible {what} shape {r} x {c}: needs {8 * r * c} bytes, "
             f"{left} left in the file"
         )
-    buf = _read_exact(fh, 8 * r * c, what)
-    return np.frombuffer(buf, dtype="<f8").reshape(r, c).copy()
+    m = np.frombuffer(_read_exact(fh, 8 * r * c, what), dtype="<f8").reshape(r, c).copy()
+    if not np.isfinite(m).all():  # nor does any fit produce a NaN or inf
+        raise CorruptFile(f"{fh.name}: {what} holds non-finite entries")
+    return m
 
 
 _HP_STRUCT = "<IdddddIdqqB"
@@ -350,6 +353,8 @@ def _write_hp(fh, hp: Hyperparams) -> None:
 def _read_hp(fh) -> Hyperparams:
     raw = _read_exact(fh, struct.calcsize(_HP_STRUCT), "hyperparameters")
     k, l1, l2, eta, gamma, zeta, iters, tol, batch, seed, pen = struct.unpack(_HP_STRUCT, raw)
+    if pen not in (0, 1):
+        raise CorruptFile(f"{fh.name}: unknown penalty mode {pen}")
     try:
         return Hyperparams(
             k=k, lambda1=l1, lambda2=l2, eta=eta, gamma=gamma, zeta=zeta,
@@ -359,7 +364,7 @@ def _read_hp(fh) -> Hyperparams:
             penalty=Penalty.L21 if pen == 0 else Penalty.FROBENIUS,
         )
     except ValueError as exc:
-        raise CorruptFile(f"invalid hyperparameters: {exc}") from None
+        raise CorruptFile(f"{fh.name}: invalid hyperparameters: {exc}") from None
 
 
 def _write_kernel_spec(fh, spec: KernelSpec) -> None:
@@ -370,9 +375,14 @@ def _write_kernel_spec(fh, spec: KernelSpec) -> None:
 
 def _read_kernel_spec(fh) -> KernelSpec:
     kind, width = struct.unpack("<Bd", _read_exact(fh, 9, "kernel spec"))
-    if kind == 1:
+    if kind == 0:
+        return KernelSpec(kind=KernelKind.LINEAR)
+    if kind != 1:
+        raise CorruptFile(f"{fh.name}: unknown kernel kind {kind}")
+    try:
         return KernelSpec(kind=KernelKind.GAUSSIAN, width=width)
-    return KernelSpec(kind=KernelKind.LINEAR)
+    except InvalidKernelParam as exc:
+        raise CorruptFile(f"{fh.name}: invalid kernel spec: {exc}") from None
 
 
 def save_model(model: ModelFile, path: str) -> None:

@@ -53,7 +53,9 @@ class AllZeroInput(RmenccaError, exit_code=17):
 
 
 class NonFiniteIterate(RmenccaError, exit_code=18):
-    """An update produced NaN/inf or a diverging objective (try a smaller eta)."""
+    """A result overflowed or became NaN/inf: an update or a diverging objective
+    (try a smaller eta), or a statistic of inputs too large for double
+    precision (feature means, covariances, correlations)."""
 
 
 class RankDeficientBasis(RmenccaError, exit_code=20):

@@ -92,14 +92,16 @@ class KernelModel:
 def _evaluate(spec: KernelSpec, a: ViewMatrix, b: ViewMatrix) -> np.ndarray:
     """a.n x b.n matrix of kernel(a_i, b_j).  Passing one view as both a and
     b makes the inner product x^T x, which numpy forms as a symmetric
-    product."""
-    if spec.kind is KernelKind.LINEAR:
-        return a.data.T @ b.data
-    sq_a = (a.data * a.data).sum(axis=0)
-    sq_b = (b.data * b.data).sum(axis=0)
-    dist = sq_a[:, None] + sq_b[None, :] - 2.0 * (a.data.T @ b.data)
-    np.maximum(dist, 0.0, out=dist)
-    return np.exp(-dist / (2.0 * spec.width * spec.width))
+    product.  An overflow leaves inf or NaN in it without a warning; a fit
+    refuses such a Gram, and metrics.pcc the projections it gives."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind is KernelKind.LINEAR:
+            return a.data.T @ b.data
+        sq_a = (a.data * a.data).sum(axis=0)
+        sq_b = (b.data * b.data).sum(axis=0)
+        dist = sq_a[:, None] + sq_b[None, :] - 2.0 * (a.data.T @ b.data)
+        np.maximum(dist, 0.0, out=dist)
+        return np.exp(-dist / (2.0 * spec.width * spec.width))
 
 
 def gram_gaussian(view: ViewMatrix, width: float) -> GramMatrix:

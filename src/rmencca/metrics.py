@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CanonicalPair, TwoViewDataset
-from .errors import DegenerateInput, DimensionMismatch, RankDeficientBasis
+from .errors import DegenerateInput, DimensionMismatch, NonFiniteIterate, RankDeficientBasis
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,7 +27,9 @@ class PccReport:
 
 
 def pcc(a: np.ndarray, b: np.ndarray) -> PccReport:
-    """Pearson correlation per column between paired n x k projections."""
+    """Pearson correlation per column between paired n x k projections;
+    raises NonFiniteIterate when a coefficient, or a moment it is formed
+    from, is not finite."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape != b.shape:
@@ -36,13 +38,21 @@ def pcc(a: np.ndarray, b: np.ndarray) -> PccReport:
         )
     if a.shape[0] < 2:
         raise DegenerateInput("Pearson correlation needs at least 2 samples")
-    ac = a - a.mean(axis=0)
-    bc = b - b.mean(axis=0)
-    va = (ac * ac).sum(axis=0)
-    vb = (bc * bc).sum(axis=0)
-    dead = (va <= 0.0) | (vb <= 0.0)
-    denom = np.sqrt(np.where(dead, 1.0, va * vb))
-    r = np.where(dead, 0.0, (ac * bc).sum(axis=0) / denom)
+    # a projection that holds NaN or inf, or whose moments overflow, leaves
+    # a variance, their product or a coefficient non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        ac = a - a.mean(axis=0)
+        bc = b - b.mean(axis=0)
+        va = (ac * ac).sum(axis=0)
+        vb = (bc * bc).sum(axis=0)
+        dead = (va <= 0.0) | (vb <= 0.0)
+        denom = np.sqrt(np.where(dead, 1.0, va * vb))
+        r = np.where(dead, 0.0, (ac * bc).sum(axis=0) / denom)
+    if not np.isfinite([va, vb, denom, r]).all():
+        raise NonFiniteIterate(
+            "Pearson correlation overflowed double precision or met a non-finite "
+            "projection; rescale the inputs"
+        )
     return PccReport(
         per_dimension=tuple(float(v) for v in r),
         mean_pcc_percent=float(r.mean() * 100.0),

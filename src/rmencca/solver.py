@@ -29,11 +29,11 @@ grad_u, serves both views (grad_v is the same function with the views'
 roles swapped), and the loop keeps its state (the iterates U~ and V~, their
 momenta, the pair and the objective trace) as local arrays.
 
-The stochastic variant draws a fresh sample subset each iteration (views are
-stored sample-major, so the gather reads m contiguous samples), forms the
-subset's statistics (with 1/m scaling) and the pair's and iterates' products
-with them, and runs the same iteration on them, then restores the exact
-full-batch whitening constraints once at the end.
+With hp.batch_size = m < n, fit_full draws a fresh subset of m samples each
+iteration (views are stored sample-major, so the gather reads m contiguous
+samples), forms the subset's statistics (with 1/m scaling) and the pair's
+and iterates' products with them, and runs the same iteration on them, then
+restores the exact full-batch whitening constraints once at the end.
 
 fit_moments is the loop; it takes the statistics, so the kernel fit runs it
 on statistics formed from its two n x n Gram matrices.  There a statistic is
@@ -367,45 +367,41 @@ def _whiten(
 
 
 def project(pair: CanonicalPair, ds: TwoViewDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical projections (X^T U, Y^T V); views centered with training means."""
+    """Canonical projections (X^T U, Y^T V); views centered with training means.
+    An overflow leaves inf or NaN in them, without a warning, for metrics.pcc
+    to refuse."""
     if pair.u.shape[0] != ds.x.d or pair.v.shape[0] != ds.y.d:
         raise DimensionMismatch(
             f"pair shapes {pair.u.shape}/{pair.v.shape} do not fit views "
             f"d1={ds.x.d}, d2={ds.y.d}"
         )
-    return ds.x.data.T @ pair.u, ds.y.data.T @ pair.v
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ds.x.data.T @ pair.u, ds.y.data.T @ pair.v
 
 
 # ------------------------------------------------------------------ fitting
 
 def fit_full(ds: TwoViewDataset, hp: Hyperparams, on_iteration=None) -> FitReport:
-    """Full-batch fit.  `on_iteration(i, pair)`, when given, is called after
+    """Fit the pair on `ds`; with hp.batch_size < n each iteration runs on
+    the statistics of a fresh minibatch of that size, and batch_size = n is
+    the full-batch fit.  `on_iteration(i, pair)`, when given, is called after
     every iteration with the freshly whitened pair."""
-    if hp.batch_size is not None:
-        raise ValueError("hp.batch_size is set; use fit_stochastic")
-    return _fit(ds, hp, stochastic=False, on_iteration=on_iteration)
-
-
-def fit_stochastic(ds: TwoViewDataset, hp: Hyperparams, on_iteration=None) -> FitReport:
-    """Minibatch fit; requires hp.batch_size.  With batch_size = n the
-    trajectory reproduces fit_full bitwise for the same seed."""
-    if hp.batch_size is None:
-        raise ValueError("fit_stochastic requires hp.batch_size")
-    return _fit(ds, hp, stochastic=True, on_iteration=on_iteration)
-
-
-def _fit(ds, hp, stochastic, on_iteration):
     validate_dataset(ds, hp)
     start = time.perf_counter()
     x, y = ds.x.data, ds.y.data
     with np.errstate(over="ignore", invalid="ignore"):
         full = second_moments(x, y)
     batches = None
-    if stochastic and hp.batch_size < ds.n:
+    if hp.batch_size is not None and hp.batch_size < ds.n:
         def batches(rng):
             idx = np.sort(rng.choice(ds.n, size=hp.batch_size, replace=False))
             return second_moments(x[:, idx], y[:, idx])
     return fit_moments(full, hp, on_iteration, batches=batches, start=start)
+
+
+# a minibatch fit is fit_full with hp.batch_size set; this second name stays
+# for callers and tools that name it, as grad_v does for grad_u
+fit_stochastic = fit_full
 
 
 def fit_moments(

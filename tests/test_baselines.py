@@ -70,7 +70,7 @@ def test_singular_covariance_needs_a_ridge():
 def test_rank_budget_bounds():
     rng = np.random.default_rng(6)
     ds = random_dataset(rng, 4, 3, 50)
-    with pytest.raises(RankBudgetTooLarge):
+    with pytest.raises(RankBudgetTooLarge, match="k=0 must lie in \\[1, min\\(d1, d2, n\\)\\]"):
         r.cca_closed_form(ds, k=0)
     with pytest.raises(RankBudgetTooLarge):
         r.cca_closed_form(ds, k=4)

@@ -478,6 +478,9 @@ def test_distinct_exit_codes(tmp_path):
 _Y_SHORT = "view x has 100 samples but view y has 80"
 _X_SHORT = "view x has 80 samples but view y has 100"
 _NAN = "view x contains non-finite entries"
+_MEAN_OVERFLOW = "feature means overflowed double precision; rescale the inputs"
+_PCC_OVERFLOW = ("Pearson correlation overflowed double precision or met a non-finite "
+                 "projection; rescale the inputs")
 _INPUT_FAULTS = {
     # name: (argv, exit code, error message); x.csv and y.csv have 100 rows,
     # x80.csv and y80.csv their first 80, xnan.csv one 'nan' field
@@ -493,6 +496,16 @@ _INPUT_FAULTS = {
                  12, _NAN),
     "eval-y-shorter": (["eval", "--model", "model.rmen", "--x", "x.csv", "--y", "y80.csv"],
                        11, _Y_SHORT),
+    # xbig.csv is x.csv times 1e307: finite, but its projections overflow
+    "eval-overflow": (["eval", "--model", "model.rmen", "--x", "xbig.csv", "--y", "y.csv"],
+                      18, _PCC_OVERFLOW),
+    "eval-overflow-kernel": (["eval", "--model", "kernel.rmen", "--x", "xbig.csv",
+                              "--y", "y.csv"], 18, _PCC_OVERFLOW),
+    # xhuge.csv is x.csv with its first column 1.5e308: finite, but its mean
+    # overflows where the training half is centered
+    "train-mean-overflow": (["train", "--x", "xhuge.csv", "--y", "y.csv"], 18, _MEAN_OVERFLOW),
+    "closed-form-mean-overflow": (["train", "--variant", "closed-form",
+                                   "--x", "xhuge.csv", "--y", "y.csv"], 18, _MEAN_OVERFLOW),
 }
 
 
@@ -500,8 +513,9 @@ _INPUT_FAULTS = {
 def test_unpaired_or_non_finite_views_exit_typed(tmp_path, monkeypatch, capsys, case):
     """Views of different row counts (exit 11) and a NaN in a view a command
     fits or evaluates (exit 12) are refused where the two views become one
-    dataset, in every command and variant: one error line, no report, no
-    traceback."""
+    dataset, in every command and variant, and finite values that overflow
+    (exit 18) where the training means or the held-out correlations are
+    formed: one error line, no report, no traceback."""
     monkeypatch.chdir(tmp_path)
     _synth_files(tmp_path, n=100)
     lines = {}
@@ -510,8 +524,15 @@ def test_unpaired_or_non_finite_views_exit_typed(tmp_path, monkeypatch, capsys, 
         (tmp_path / f"{name}80.csv").write_text("".join(lines[name][:80]))
     first = lines["x"][0]
     (tmp_path / "xnan.csv").write_text("nan" + first[first.index(","):] + "".join(lines["x"][1:]))
+    (tmp_path / "xbig.csv").write_text("".join(
+        ",".join(repr(1e307 * float(v)) for v in line.split(",")) + "\n" for line in lines["x"]))
+    (tmp_path / "xhuge.csv").write_text("".join(
+        "1.5e308" + line[line.index(","):] for line in lines["x"]))
     assert main(["train", "--x", "x.csv", "--y", "y.csv", "--k", "1", "--iters", "20",
                  "--model-out", "model.rmen", "--out", "trained.json"]) == 0
+    assert main(["train", "--x", "x.csv", "--y", "y.csv", "--k", "1", "--iters", "20",
+                 "--variant", "kernel-rmen", "--kernel", "gaussian", "--kernel-width", "2",
+                 "--model-out", "kernel.rmen", "--out", "trained.json"]) == 0
     capsys.readouterr()
     argv, code, message = _INPUT_FAULTS[case]
     assert main([*argv, "--out", "report.json"]) == code

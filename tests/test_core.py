@@ -9,6 +9,7 @@ from rmencca.errors import (
     BatchTooLarge,
     DegenerateInput,
     NonFiniteEntry,
+    NonFiniteIterate,
     RankBudgetTooLarge,
     SampleCountMismatch,
 )
@@ -60,6 +61,20 @@ def test_center_recenters_a_split_of_a_centered_view():
 def test_center_needs_two_samples():
     with pytest.raises(DegenerateInput):
         r.center(r.ViewMatrix.of([[1.0], [2.0]]))
+
+
+def test_center_names_a_mean_overflow():
+    """Finite entries whose sum overflows are a numeric failure of centering,
+    not a non-finite view; a view that holds NaN or inf is still refused, as
+    non-finite, where its dataset is built."""
+    data = np.ones((2, 50))
+    data[1] = 1.5e308
+    with pytest.raises(NonFiniteIterate, match="feature means overflowed"):
+        r.center(r.ViewMatrix.of(data))
+    data[1, 7] = np.nan
+    with pytest.raises(NonFiniteEntry):
+        x = r.center(r.ViewMatrix.of(data))
+        r.TwoViewDataset(x=x, y=x)
 
 
 def test_center_with_means_keeps_flag_but_not_zero_sums():

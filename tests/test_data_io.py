@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -647,6 +648,29 @@ def test_model_file_corruption_detection(tmp_path):
         raw[:u_shape_at] + struct.pack("<Q", 1 << 32) + raw[u_shape_at + 8:])
     with pytest.raises(CorruptFile):
         r.load_model(str(oversized))
+
+    # numbers no fit writes: a NaN over U's or means_x' first entry, and a
+    # penalty mode byte (the last hyperparameter) other than 0 and 1
+    nan = struct.pack("<d", float("nan"))
+    kernel = _shape_case_models(tmp_path)[3]
+    r.save_model(kernel, str(p))
+    kraw = p.read_bytes()
+    # the two kernel specs (kind byte, width) follow the two 2-entry means
+    spec_at = shape_at + 2 * (16 + 8 * 2)
+    assert struct.unpack("<Bd", kraw[spec_at:spec_at + 9]) == (1, 2.0)
+    for name, base, at, patch, message in (
+        ("nan_u", raw, u_shape_at + 16, nan, "U holds non-finite entries"),
+        ("nan_means", raw, shape_at + 16, nan, "means_x holds non-finite entries"),
+        ("penalty_7", raw, shape_at - 1, b"\x07", "unknown penalty mode 7"),
+        ("kind_7", kraw, spec_at, b"\x07", "unknown kernel kind 7"),
+        ("nan_width", kraw, spec_at + 1, nan, "invalid kernel spec: .* got nan"),
+        ("negative_width", kraw, spec_at + 1, struct.pack("<d", -1.0),
+         "invalid kernel spec: .* got -1.0"),
+    ):
+        bad = tmp_path / f"{name}.rmen"
+        bad.write_bytes(base[:at] + patch + base[at + len(patch):])
+        with pytest.raises(CorruptFile, match=f"^{re.escape(str(bad))}: {message}"):
+            r.load_model(str(bad))
 
 
 def test_model_matrices_must_fit_their_means_and_training_points(tmp_path, capsys):

@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rmencca as r
-from rmencca.errors import DegenerateInput, DimensionMismatch, RankDeficientBasis
+from rmencca.errors import (
+    DegenerateInput,
+    DimensionMismatch,
+    NonFiniteIterate,
+    RankDeficientBasis,
+)
 
 from _helpers import centered, feasible_pair, planted
 
@@ -47,6 +52,17 @@ def test_pcc_errors():
         r.pcc(np.ones(5), np.ones(5))
     with pytest.raises(DegenerateInput):
         r.pcc(np.ones((1, 2)), np.ones((1, 2)))
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
+    nan = a.copy()
+    nan[0, 1] = np.nan
+    inf = a.copy()
+    inf[3, 0] = np.inf
+    # finite projections whose mean, a variance or the variances' product
+    # overflows
+    for bad in ((nan, b), (a, inf), (1.5e308 + a, b), (1e200 * a, b), (1e100 * a, 1e110 * b)):
+        with pytest.raises(NonFiniteIterate):
+            r.pcc(*bad)
 
 
 @settings(max_examples=30, deadline=None)

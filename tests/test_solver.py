@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -262,12 +263,21 @@ def test_normalize_rejects_zero_input():
 def test_fit_mode_guards():
     rng = np.random.default_rng(6)
     ds = centered(random_dataset(rng, 4, 3, 40))
-    with pytest.raises(ValueError):
-        r.fit_full(ds, r.Hyperparams(k=1, batch_size=10))
-    with pytest.raises(ValueError):
-        r.fit_stochastic(ds, r.Hyperparams(k=1))
     with pytest.raises(BatchTooLarge):
         r.fit_stochastic(ds, r.Hyperparams(k=1, batch_size=41))
+
+
+def test_batch_size_alone_picks_the_minibatch_fit():
+    """fit_stochastic is a second name for fit_full: hp.batch_size < n makes
+    either name draw minibatches, and both give one trajectory."""
+    ds = centered(random_dataset(np.random.default_rng(6), 4, 3, 40))
+    hp = r.Hyperparams(k=1, batch_size=10, max_iters=30, tol=0.0, seed=3)
+    a = r.fit_full(ds, hp)
+    b = r.fit_stochastic(ds, hp)
+    assert r.fit_stochastic is r.fit_full
+    assert a.iterations_run == 30
+    assert a.objective_trace == b.objective_trace
+    assert a.objective_trace != r.fit_full(ds, replace(hp, batch_size=None)).objective_trace
 
 
 def test_fit_full_objective_trend_without_momentum():

@@ -23,6 +23,7 @@ import argparse
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -52,8 +53,11 @@ RUNS = {  # name: train flags beyond the inputs and FIT
 
 # name: argv.  x480.csv and y480.csv hold the first 480 of the 600 rows of
 # x.csv and y.csv, xnan.csv is x.csv with its first field 'nan', ragged.csv
-# is x.csv with one field cut from its second row, and absent.csv does not
-# exist
+# is x.csv with one field cut from its second row, x1e307.csv is x.csv times
+# 1e307, xhuge.csv is x.csv with its first column 1.5e308, nan-u.rmen is
+# rmen.rmen with a NaN over U's first entry, kind7.rmen is
+# kernel-rmen-gaussian.rmen with its first kernel kind byte 7, and absent.csv
+# does not exist
 FAILURES = {
     "ragged": ["train", "--x", "ragged.csv", "--y", "y.csv", *FIT],
     "y-shorter": ["train", "--x", "x.csv", "--y", "y480.csv", *FIT],
@@ -62,7 +66,13 @@ FAILURES = {
                         "--variant", "closed-form"],
     "eval-nan": ["eval", "--x", "xnan.csv", "--y", "y.csv", "--model", "rmen.rmen"],
     "missing-input": ["train", "--x", "absent.csv", "--y", "y.csv", *FIT],
+    "nan-model": ["eval", "--x", "x.csv", "--y", "y.csv", "--model", "nan-u.rmen"],
+    "kernel-kind-7": ["eval", "--x", "x.csv", "--y", "y.csv", "--model", "kind7.rmen"],
+    "eval-overflow": ["eval", "--x", "x1e307.csv", "--y", "y.csv", "--model", "rmen.rmen"],
+    "mean-overflow": ["train", "--x", "xhuge.csv", "--y", "y.csv", *FIT],
 }
+# a model file's magic, version, kind byte and hyperparameter block
+MODEL_HEADER = 8 + 4 + 1 + struct.calcsize("<IdddddIdqqB")
 
 
 def _run(src: str, cwd: str, *argv: str, check: bool = True) -> subprocess.CompletedProcess:
@@ -88,10 +98,33 @@ def _failure_inputs(tmp: str) -> None:
         "y480.csv": lines["y"][:480],
         "xnan.csv": ["nan" + lines["x"][0][lines["x"][0].index(","):], *lines["x"][1:]],
         "ragged.csv": [lines["x"][0], lines["x"][1].split(",", 1)[1], *lines["x"][2:]],
+        "x1e307.csv": [",".join(repr(1e307 * float(v)) for v in row.split(",")) + "\n"
+                       for row in lines["x"]],
+        "xhuge.csv": ["1.5e308" + row[row.index(","):] for row in lines["x"]],
     }
     for name, rows in made.items():
         with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
             fh.writelines(rows)
+    # U's entries start after its 16-byte shape; the kernel specs (kind byte
+    # and width) right after means_y
+    for name, model, skip, patch in (
+        ("nan-u.rmen", "rmen.rmen", 16, struct.pack("<d", float("nan"))),
+        ("kind7.rmen", "kernel-rmen-gaussian.rmen", 0, b"\x07"),
+    ):
+        with open(os.path.join(tmp, model), "rb") as fh:
+            raw = fh.read()
+        at = _after_means(raw) + skip
+        with open(os.path.join(tmp, name), "wb") as fh:
+            fh.write(raw[:at] + patch + raw[at + len(patch):])
+
+
+def _after_means(raw: bytes) -> int:
+    """The offset just past a model file's means_x and means_y matrices."""
+    at = MODEL_HEADER
+    for _ in range(2):
+        rows, cols = struct.unpack_from("<QQ", raw, at)
+        at += 16 + 8 * rows * cols
+    return at
 
 
 def _digest(path: str) -> str:
