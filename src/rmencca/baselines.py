@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import CanonicalPair, Hyperparams, Penalty, TwoViewDataset
 from .errors import RankBudgetTooLarge
-from .solver import inverse_sqrt, second_moments
+from .solver import dataset_moments, inverse_sqrt
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,14 +32,16 @@ def cca_closed_form(ds: TwoViewDataset, k: int) -> CCASolution:
 
     A ridge of 1e-8 * trace(cov)/d per view, a scale-aware floor, is added to
     the covariance eigenvalues before the inverse square root, so a singular
-    covariance still gives finite correlations.
+    covariance still gives finite correlations.  The covariances are the
+    dataset's statistics as a fit on it forms them (solver.dataset_moments);
+    raises NonFiniteIterate when they overflow.
     """
     bound = min(ds.x.d, ds.y.d, ds.n)
     if k < 1:
         raise RankBudgetTooLarge(f"k={k} must lie in [1, min(d1, d2, n)] = [1, {bound}]")
     if k > bound:
         raise RankBudgetTooLarge(f"k={k} exceeds min(d1, d2, n) = {bound}")
-    stats = second_moments(ds.x.data, ds.y.data)
+    stats = dataset_moments(ds)
     wx = _inv_sqrt(stats.cxx)
     wy = _inv_sqrt(stats.cyy)
     left, svals, right_t = np.linalg.svd(wx @ stats.cxy @ wy)
@@ -64,14 +66,16 @@ def men_cca_mode(hp: Hyperparams) -> Hyperparams:
 
 
 def _inv_sqrt(cov: np.ndarray) -> np.ndarray:
-    factor, _ = inverse_sqrt(cov, 1e-8 * float(np.trace(cov)) / cov.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor, _ = inverse_sqrt(cov, 1e-8 * float(np.trace(cov)) / cov.shape[0])
     return factor
 
 
 def _exact_rewhiten(m: np.ndarray, cov: np.ndarray) -> np.ndarray:
     # the ridge perturbs the whitening constraint by O(ridge/eig); one exact
     # normalization pass removes it without moving the subspace
-    factor, eigvals = inverse_sqrt(m.T @ (cov @ m), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor, eigvals = inverse_sqrt(m.T @ (cov @ m), 0.0)
     if eigvals[0] <= 1e-10 * max(eigvals[-1], 1.0):
         return m
     return m @ factor

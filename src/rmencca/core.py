@@ -17,7 +17,7 @@ centered again.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,13 +47,24 @@ class ViewMatrix:
     `data` has the logical shape (d, n) and is always F-contiguous, i.e. the
     transpose of a C-contiguous (n, d) array; construction converts other
     layouts (one copy) and leaves sample-major float64 data as it is.
+
+    `data` is read-only: writing into it raises ValueError.  A view is never
+    changed in place, so what is derived from it once stays valid: its
+    dataset's finiteness check and the statistics solver.dataset_moments
+    keeps.  A writable array passed in gets a read-only view (no copy) and
+    stays writable itself; writing into it behind the view's back voids both.
+    An array that is already read-only is taken as it is.
     """
 
     data: np.ndarray
     feature_means: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "data", np.asfortranarray(self.data, dtype=np.float64))
+        data = np.asfortranarray(self.data, dtype=np.float64)
+        if data.flags.writeable:
+            data = data.view()
+            data.flags.writeable = False
+        object.__setattr__(self, "data", data)
 
     @classmethod
     def of(cls, data) -> "ViewMatrix":
@@ -72,10 +83,18 @@ class ViewMatrix:
 @dataclass(frozen=True, eq=False)
 class TwoViewDataset:
     """Paired views; column j of x and column j of y describe the same sample.
-    Construction refuses unpaired views and a NaN or infinite entry."""
+    Construction refuses unpaired views and a NaN or infinite entry.
+
+    Both checks, and the statistics Cxx, Cyy and Cxy that
+    solver.dataset_moments forms on first use and keeps on the dataset
+    (shared by fit_full, cca_closed_form and constraint_residual), stay
+    valid because the views are read-only.
+    """
 
     x: ViewMatrix
     y: ViewMatrix
+    # the views' statistics, set once by solver.dataset_moments
+    _moments: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.x.n != self.y.n:
@@ -167,7 +186,7 @@ class FitReport:
 def center(view: ViewMatrix) -> ViewMatrix:
     """Subtract the view's own per-feature sample means, so each row sums to
     (numerically) zero whatever was subtracted before.  Finite entries whose
-    mean overflows raise NonFiniteIterate."""
+    mean, or whose difference from it, overflows raise NonFiniteIterate."""
     if view.n < 2:
         raise DegenerateInput(f"centering needs n >= 2, got n={view.n}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -191,10 +210,17 @@ def center_with_means(view: ViewMatrix, means: np.ndarray) -> ViewMatrix:
 
 
 def _subtract(view: ViewMatrix, means: np.ndarray) -> ViewMatrix:
-    return ViewMatrix(
-        data=view.data - means[:, None],
-        feature_means=view.feature_means + means,
-    )
+    """The view less `means`.  Finite entries whose difference from a finite
+    mean overflows raise NonFiniteIterate; the check costs no extra pass, as
+    the subtraction itself raises the overflow."""
+    try:
+        with np.errstate(over="raise"):
+            data = view.data - means[:, None]
+    except FloatingPointError:
+        raise NonFiniteIterate(
+            "centered values overflowed double precision; rescale the inputs"
+        ) from None
+    return ViewMatrix(data=data, feature_means=view.feature_means + means)
 
 
 def validate_dataset(ds: TwoViewDataset, hp: Hyperparams) -> None:

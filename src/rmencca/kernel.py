@@ -170,7 +170,7 @@ def fit_kernel(
     fy = _eigenfactor(gy.values, probe=True)
     with np.errstate(over="ignore", invalid="ignore"):
         stats = _statistics(gx.values, fx, gy.values, fy)
-    report = fit_moments(stats, hp, on_iteration, start=start)
+    report = fit_moments(stats.require_finite(), hp, on_iteration, start=start)
     return KernelModel(
         w_x=report.pair.u,
         w_y=report.pair.v,

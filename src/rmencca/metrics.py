@@ -9,6 +9,7 @@ import numpy as np
 
 from .core import CanonicalPair, TwoViewDataset
 from .errors import DegenerateInput, DimensionMismatch, NonFiniteIterate, RankDeficientBasis
+from .solver import dataset_moments, whitening_residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,21 +62,11 @@ def pcc(a: np.ndarray, b: np.ndarray) -> PccReport:
 
 
 def constraint_residual(pair: CanonicalPair, ds: TwoViewDataset) -> tuple[float, float]:
-    """Frobenius distances of U^T(XX^T/n)U and V^T(YY^T/n)V from identity."""
-    x, y = ds.x.data, ds.y.data
-    return (
-        _residual(pair.u, x @ x.T / ds.n),
-        _residual(pair.v, y @ y.T / ds.n),
-    )
-
-
-def _residual(m: np.ndarray, cov: np.ndarray) -> float:
-    if m.ndim != 2 or cov.shape != (m.shape[0], m.shape[0]):
-        raise DimensionMismatch(
-            f"cov shape {cov.shape} does not match projection rows {m.shape}"
-        )
-    gram = m.T @ cov @ m
-    return float(np.linalg.norm(gram - np.eye(m.shape[1])))
+    """Frobenius distances of U^T(XX^T/n)U and V^T(YY^T/n)V from identity,
+    with the dataset's statistics as a fit on it forms them (formed here
+    only if nothing has yet); raises NonFiniteIterate when they overflow."""
+    stats = dataset_moments(ds)
+    return whitening_residual(pair.u, stats.cxx), whitening_residual(pair.v, stats.cyy)
 
 
 def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:

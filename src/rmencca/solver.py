@@ -2,8 +2,12 @@
 
 Every per-iteration quantity is a function of the second moments
 Cxx = XX^T/n, Cyy = YY^T/n, Cxy = XY^T/n and of the current pair (U, V), so
-a fit forms the statistics once (one O(n d^2) pass) and each iteration then
-costs O(d^2 k), independent of n.  Each product of a statistic with a d x k
+the statistics are formed once (one O(n d^2) pass) and each iteration then
+costs O(d^2 k), independent of n.  A dataset's statistics are formed at most
+once: dataset_moments forms them with second_moments on first use, checks
+them finite, and keeps them on the dataset (its views are read-only), so
+fit_full, baselines.cca_closed_form and metrics.constraint_residual on one
+dataset share one O(n d^2) pass.  Each product of a statistic with a d x k
 block is formed once and carried to every later use, so a full-batch
 iteration makes 4 of them, plus one for each whitening pass that needs
 refining (see _whiten), and one eigh of the 2k x 2k pair Gram.  One
@@ -29,6 +33,16 @@ grad_u, serves both views (grad_v is the same function with the views'
 roles swapped), and the loop keeps its state (the iterates U~ and V~, their
 momenta, the pair and the objective trace) as local arrays.
 
+At small d an iteration is bound by Python-level calls, not arithmetic, so
+the loop spends none it does not need while every phase stays a module-level
+function it calls by name (tracing tools wrap those names): one np.errstate
+around the whole loop instead of one per whitening, the pair Gram written
+into one preallocated 2k x 2k array, tr(cov) taken once per set of
+statistics, the S-inverse's shared part formed once for both views, and
+slotted per-iteration records.  None of this changes a floating-point
+operation or its order, so trajectories are bitwise those of the plain
+formulation.
+
 With hp.batch_size = m < n, fit_full draws a fresh subset of m samples each
 iteration (views are stored sample-major, so the gather reads m contiguous
 samples), forms the subset's statistics (with 1/m scaling) and the pair's
@@ -44,9 +58,9 @@ holds only d x k iterates and k x k work.
 """
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,7 +74,6 @@ from .core import (
     validate_dataset,
 )
 from .errors import AllZeroInput, DimensionMismatch, NonFiniteIterate
-from .metrics import _residual
 from .regularizers import (  # noqa: F401  nuclear_norm: see below
     SInverseOperator,
     apply_s_inverse,
@@ -69,6 +82,7 @@ from .regularizers import (  # noqa: F401  nuclear_norm: see below
     hq_diagonal,
     l21_norm,
     nuclear_norm,
+    s_inverse_spectrum,
 )
 
 # nuclear_norm is not called here (the objective takes the nuclear norm from
@@ -132,15 +146,27 @@ class SecondMoments:
     cxy: np.ndarray | LowRank
     n: int
 
+    def require_finite(self) -> "SecondMoments":
+        """self, or NonFiniteIterate when a statistic overflowed."""
+        if not all(
+            c.finite() if isinstance(c, LowRank) else np.isfinite(c).all()
+            for c in (self.cxx, self.cyy, self.cxy)
+        ):
+            raise NonFiniteIterate(
+                "view covariance overflowed double precision; rescale the inputs"
+            )
+        return self
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(eq=False, slots=True)
 class PairMoments:
     """A pair (U, V) seen through the second moments of n samples.
 
     cxx_u = Cxx U, cxy_v = Cxy V, cyx_u = Cyx U, cyy_v = Cyy V, and gram is
     Z^T Z / n for Z = [X^T U  Y^T V], i.e.
     [[U^T Cxx U, U^T Cxy V], [V^T Cyx U, V^T Cyy V]].  None of them has a
-    dimension of length n.
+    dimension of length n.  The loop builds one per iteration, so it is
+    slotted rather than frozen (cheaper to build); treat it as read-only.
     """
 
     pair: CanonicalPair
@@ -150,27 +176,38 @@ class PairMoments:
     cyy_v: np.ndarray
     gram: np.ndarray
     n: int
+    _spectrum: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False
+    )
 
     @classmethod
     def of(cls, pair, cxx_u, cxy_v, cyx_u, cyy_v, n) -> "PairMoments":
-        """Assemble the Gram from the four products (k x k work)."""
+        """Assemble the Gram from the four products (k x k work), each
+        written into its block of one 2k x 2k array, then symmetrized."""
         u, v = pair.u, pair.v
-        gram = np.block([[u.T @ cxx_u, u.T @ cxy_v], [v.T @ cyx_u, v.T @ cyy_v]])
-        return cls(
-            pair=pair, cxx_u=cxx_u, cxy_v=cxy_v, cyx_u=cyx_u, cyy_v=cyy_v,
-            gram=0.5 * (gram + gram.T), n=n,
-        )
+        k = u.shape[1]
+        gram = np.empty((2 * k, 2 * k))
+        np.matmul(u.T, cxx_u, out=gram[:k, :k])
+        np.matmul(u.T, cxy_v, out=gram[:k, k:])
+        np.matmul(v.T, cyx_u, out=gram[k:, :k])
+        np.matmul(v.T, cyy_v, out=gram[k:, k:])
+        gram += gram.T
+        gram *= 0.5
+        return cls(pair, cxx_u, cxy_v, cyx_u, cyy_v, gram, n)
 
-    @cached_property
+    @property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """eigh of the unscaled Gram Z^T Z, formed once and shared by the
-        S-inverse operators and the nuclear norm."""
-        return np.linalg.eigh(self.n * self.gram)
+        """eigh of the unscaled Gram Z^T Z, formed on first use and shared
+        by the S-inverse operators and the nuclear norm."""
+        if self._spectrum is None:
+            self._spectrum = np.linalg.eigh(self.n * self.gram)
+        return self._spectrum
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class IterationContext:
-    """Per-iteration quantities frozen from the current true pair.
+    """Per-iteration quantities fixed at the current true pair (a slotted
+    record, read-only by convention, as PairMoments is).
 
     s_inv_x and s_inv_y apply X S^-1 X^T and Y S^-1 Y^T; they are None when
     lambda2 = 0.  p and q are the row weights of U and V, the diagonals of the
@@ -197,6 +234,24 @@ def second_moments(x: np.ndarray, y: np.ndarray) -> SecondMoments:
     return SecondMoments(cxx=cxx, cyy=cyy, cxy=cxy, n=n)
 
 
+def dataset_moments(ds: TwoViewDataset) -> SecondMoments:
+    """The statistics of ds's views: formed by second_moments (looked up at
+    call time, so a wrapper installed on it sees the call) on first use,
+    checked finite, and kept on ds, read-only as its views are.  Minibatch
+    statistics and kernel statistics are not kept.  Raises NonFiniteIterate,
+    with no warning, when a statistic overflows."""
+    stats = ds._moments
+    if stats is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            stats = second_moments(ds.x.data, ds.y.data).require_finite()
+        # shared by every later caller, so read-only like the views
+        for c in (stats.cxx, stats.cyy, stats.cxy):
+            c.flags.writeable = False
+        # ds is frozen; this is its one field set after construction
+        object.__setattr__(ds, "_moments", stats)
+    return stats
+
+
 def pair_moments(stats: SecondMoments, pair: CanonicalPair) -> PairMoments:
     """Cxx U, Cxy V, Cyx U, Cyy V and the scaled Gram of [X^T U  Y^T V]."""
     u, v = pair.u, pair.v
@@ -220,7 +275,8 @@ def build_context(pm: PairMoments, hp: Hyperparams) -> IterationContext:
     pair = pm.pair
     s_inv_x = s_inv_y = None
     if hp.lambda2 != 0.0:
-        spec = pm.spectrum
+        # the part formed from the Gram's eigh alone, shared by both images
+        spec = s_inverse_spectrum(pm.spectrum, hp.zeta)
         s_inv_x = build_s_inverse(pm.n * pm.cxx_u, pm.n * pm.cxy_v, hp.zeta, spec)
         s_inv_y = build_s_inverse(pm.n * pm.cyx_u, pm.n * pm.cyy_v, hp.zeta, spec)
     if hp.penalty is Penalty.L21:
@@ -245,7 +301,7 @@ def objective(pm: PairMoments, hp: Hyperparams) -> float:
     u, v = pm.pair.u, pm.pair.v
     k = u.shape[1]
     g = pm.gram
-    val = 0.5 * float(np.trace(g[:k, :k]) + np.trace(g[k:, k:]) - 2.0 * np.trace(g[:k, k:]))
+    val = 0.5 * float(g[:k, :k].trace() + g[k:, k:].trace() - 2.0 * g[:k, k:].trace())
     if hp.lambda1 != 0.0:
         if hp.penalty is Penalty.L21:
             val += hp.lambda1 * (l21_norm(u) + l21_norm(v))
@@ -294,14 +350,14 @@ def inverse_sqrt(sym: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray]
     """(F, lam): F = Q (Lam + shift I)^(-1/2) Q^T from the eigh Q Lam Q^T of
     the symmetrized sym, with the eigenvalues lam clipped at 0 (ascending).
 
-    shift = 0 with a zero eigenvalue gives an infinite F without a warning;
-    each caller checks lam for the case it cannot use.
+    shift = 0 with a zero eigenvalue gives an infinite F, which warns unless
+    the caller has turned divide and invalid warnings off (every caller
+    does); each caller checks lam for the case it cannot use.
     """
     eigvals, eigvecs = np.linalg.eigh(0.5 * (sym + sym.T))
     eigvals = np.maximum(eigvals, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = 1.0 / np.sqrt(eigvals + shift)
-        return (eigvecs * scale) @ eigvecs.T, eigvals
+    scale = 1.0 / np.sqrt(eigvals + shift)
+    return (eigvecs * scale) @ eigvecs.T, eigvals
 
 
 def whitening_factor(
@@ -312,10 +368,10 @@ def whitening_factor(
 
     R is the inverse square root of the k x k Gram m_tilde^T cov m_tilde
     shifted by zeta.  zeta = 0 is allowed when the Gram is safely
-    nonsingular.  cov (m_tilde R) is cov_m R.
+    nonsingular.  cov (m_tilde R) is cov_m R.  Callers run it with
+    overflow, invalid and divide warnings off; an overflow is raised here.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = m_tilde.T @ cov_m
+    gram = m_tilde.T @ cov_m
     if not np.isfinite(gram).all():
         raise NonFiniteIterate(
             "projected Gram overflowed double precision; reduce eta or rescale inputs"
@@ -328,19 +384,24 @@ def whitening_factor(
 
 def normalize(m_tilde: np.ndarray, cov: np.ndarray, zeta: float) -> np.ndarray:
     """Whiten m_tilde so the result W satisfies W^T cov W = I."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        cov_m = cov @ m_tilde
-    return m_tilde @ whitening_factor(m_tilde, cov_m, zeta)[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return m_tilde @ whitening_factor(m_tilde, cov @ m_tilde, zeta)[0]
+
+
+def _rounding_scale(cov: np.ndarray | LowRank) -> float:
+    """d eps tr(cov), the factor of _whiten's rounding bound that depends
+    on the statistic alone, formed once per set of statistics."""
+    return cov.shape[0] * _EPS * cov.trace()
 
 
 def _whiten(
-    m_tilde: np.ndarray, cov: np.ndarray, zeta: float
+    m_tilde: np.ndarray, cov: np.ndarray, zeta: float, scale: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(W, cov m_tilde, cov W) for the whitened W, from one product with cov,
     or two when the first pass may be short of rounding level.
 
     The first pass whitens against G = m_tilde^T cov m_tilde.  Its relative
-    error in the constraint is bounded by
+    error in the constraint is bounded by (scale = _rounding_scale(cov))
 
       beta = (d eps tr(cov) ||m_tilde||_F^2 + zeta) / (lambda_min(G) + zeta)
 
@@ -352,18 +413,28 @@ def _whiten(
     two orders below the 1e-8 per-dimension residual budget, W1 is returned
     with cov W1 = (cov m_tilde) R1, k x k work.  Otherwise (ill-conditioned
     early iterations) W1 is re-whitened against a freshly formed cov W1,
-    which brings the residual to rounding level.
+    which brings the residual to rounding level.  It runs inside the loop's
+    np.errstate and sets none of its own.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        cov_mt = cov @ m_tilde
-        r1, lam_min = whitening_factor(m_tilde, cov_mt, zeta)
-        w1 = m_tilde @ r1
-        rounding = cov.shape[0] * _EPS * cov.trace() * float((m_tilde * m_tilde).sum())
-        if rounding + zeta <= _REFINE_BOUND * (lam_min + zeta):
-            return w1, cov_mt, cov_mt @ r1
-        cov_w1 = cov @ w1
+    cov_mt = cov @ m_tilde
+    r1, lam_min = whitening_factor(m_tilde, cov_mt, zeta)
+    w1 = m_tilde @ r1
+    rounding = scale * float((m_tilde * m_tilde).sum())
+    if rounding + zeta <= _REFINE_BOUND * (lam_min + zeta):
+        return w1, cov_mt, cov_mt @ r1
+    cov_w1 = cov @ w1
     r = whitening_factor(w1, cov_w1, zeta)[0]
     return w1 @ r, cov_mt, cov_w1 @ r
+
+
+def whitening_residual(m: np.ndarray, cov: np.ndarray | LowRank) -> float:
+    """||M^T cov M - I||_F, the residual of the whitening constraint."""
+    if m.ndim != 2 or cov.shape != (m.shape[0], m.shape[0]):
+        raise DimensionMismatch(
+            f"cov shape {cov.shape} does not match projection rows {m.shape}"
+        )
+    gram = m.T @ cov @ m
+    return float(np.linalg.norm(gram - np.eye(m.shape[1])))
 
 
 def project(pair: CanonicalPair, ds: TwoViewDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -388,11 +459,11 @@ def fit_full(ds: TwoViewDataset, hp: Hyperparams, on_iteration=None) -> FitRepor
     every iteration with the freshly whitened pair."""
     validate_dataset(ds, hp)
     start = time.perf_counter()
-    x, y = ds.x.data, ds.y.data
-    with np.errstate(over="ignore", invalid="ignore"):
-        full = second_moments(x, y)
+    full = dataset_moments(ds)
     batches = None
     if hp.batch_size is not None and hp.batch_size < ds.n:
+        x, y = ds.x.data, ds.y.data
+
         def batches(rng):
             idx = np.sort(rng.choice(ds.n, size=hp.batch_size, replace=False))
             return second_moments(x[:, idx], y[:, idx])
@@ -407,88 +478,95 @@ fit_stochastic = fit_full
 def fit_moments(
     full: SecondMoments, hp: Hyperparams, on_iteration=None, batches=None, start=None
 ) -> FitReport:
-    """The momentum iteration on the statistics `full` of a validated fit.
+    """The momentum iteration on the finite statistics `full` of a validated
+    fit.
 
     `batches(rng)`, when given, returns each iteration's minibatch
     statistics, drawn with the fit's generator; the pair is then re-whitened
     against `full` at the end.  `start` is the perf_counter reading the
-    report's wall time counts from (default: now).
+    report's wall time counts from (default: now).  The iteration runs with
+    numpy's overflow, invalid and divide warnings off, since it checks every
+    result that can go non-finite itself; `on_iteration` runs under the
+    caller's settings.
     """
     start = time.perf_counter() if start is None else start
-    if not all(
-        c.finite() if isinstance(c, LowRank) else np.isfinite(c).all()
-        for c in (full.cxx, full.cyy, full.cxy)
-    ):
-        raise NonFiniteIterate(
-            "view covariance overflowed double precision; rescale the inputs"
-        )
     d1, d2, k = full.cxx.shape[0], full.cyy.shape[0], hp.k
     rng = np.random.default_rng(hp.seed)
     # whitening smoothing: far below zeta so the constraint residual stays
     # orders of magnitude under the 1e-8 * k budget
     zw = hp.zeta * 1e-6
+    caller_errors = np.geterr()
 
-    u0 = rng.standard_normal((d1, k))
-    v0 = rng.standard_normal((d2, k))
-    pair = CanonicalPair(u=_whiten(u0, full.cxx, zw)[0], v=_whiten(v0, full.cyy, zw)[0])
-    # the unnormalized iterates U~, V~ and their momenta
-    ut, vt = np.zeros((d1, k)), np.zeros((d2, k))
-    du, dv = np.zeros((d1, k)), np.zeros((d2, k))
-    trace: list[float] = []
-    termination = Termination.MAX_ITERS
-    stats = full
-    pm, cxx_ut, cyy_vt = _moments_of_state(stats, pair, ut, vt)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u0 = rng.standard_normal((d1, k))
+        v0 = rng.standard_normal((d2, k))
+        scale_x, scale_y = _rounding_scale(full.cxx), _rounding_scale(full.cyy)
+        pair = CanonicalPair(
+            u=_whiten(u0, full.cxx, zw, scale_x)[0], v=_whiten(v0, full.cyy, zw, scale_y)[0]
+        )
+        # the unnormalized iterates U~, V~ and their momenta
+        ut, vt = np.zeros((d1, k)), np.zeros((d2, k))
+        du, dv = np.zeros((d1, k)), np.zeros((d2, k))
+        trace: list[float] = []
+        termination = Termination.MAX_ITERS
+        stats = full
+        pm, cxx_ut, cyy_vt = _moments_of_state(stats, pair, ut, vt)
 
-    for it in range(1, hp.max_iters + 1):
+        for it in range(1, hp.max_iters + 1):
+            if batches is not None:
+                stats = batches(rng)
+                scale_x, scale_y = _rounding_scale(stats.cxx), _rounding_scale(stats.cyy)
+                pm, cxx_ut, cyy_vt = _moments_of_state(stats, pair, ut, vt)
+
+            ctx = build_context(pm, hp)
+
+            gu = grad_u(ut, cxx_ut, pm.cxy_v, ctx.p, ctx.s_inv_x, stats.n, hp)
+            ut, du = momentum_step(ut, du, gu, hp)
+            if not np.isfinite(ut).all():
+                raise NonFiniteIterate("U update produced non-finite values; reduce eta")
+            u, cxx_ut, cxx_u = _whiten(ut, stats.cxx, zw, scale_x)
+            cyx_u = stats.cxy.T @ u
+
+            # V's step sees the freshly whitened U through Cyx U
+            gv = grad_v(vt, cyy_vt, cyx_u, ctx.q, ctx.s_inv_y, stats.n, hp)
+            vt, dv = momentum_step(vt, dv, gv, hp)
+            if not np.isfinite(vt).all():
+                raise NonFiniteIterate("V update produced non-finite values; reduce eta")
+            v, cyy_vt, cyy_v = _whiten(vt, stats.cyy, zw, scale_y)
+            cxy_v = stats.cxy @ v
+            pair = CanonicalPair(u=u, v=v)
+
+            # the next iteration's context starts from these moments (full batch)
+            pm = PairMoments.of(pair, cxx_u, cxy_v, cyx_u, cyy_v, stats.n)
+            obj = objective(pm, hp)
+            if not math.isfinite(obj):
+                raise NonFiniteIterate("objective became non-finite; reduce eta")
+            trace.append(obj)
+            if obj > 10.0 * trace[0] and obj > 1e-12:
+                raise NonFiniteIterate(
+                    f"objective grew from {trace[0]:.3e} to {obj:.3e}; reduce eta"
+                )
+            if on_iteration is not None:
+                with np.errstate(**caller_errors):
+                    on_iteration(it, pair)
+            if hp.tol > 0.0 and _converged(trace, hp.tol):
+                termination = Termination.CONVERGED
+                break
+
         if batches is not None:
-            stats = batches(rng)
-            pm, cxx_ut, cyy_vt = _moments_of_state(stats, pair, ut, vt)
-
-        ctx = build_context(pm, hp)
-
-        gu = grad_u(ut, cxx_ut, pm.cxy_v, ctx.p, ctx.s_inv_x, stats.n, hp)
-        ut, du = momentum_step(ut, du, gu, hp)
-        if not np.isfinite(ut).all():
-            raise NonFiniteIterate("U update produced non-finite values; reduce eta")
-        u, cxx_ut, cxx_u = _whiten(ut, stats.cxx, zw)
-        cyx_u = stats.cxy.T @ u
-
-        # V's step sees the freshly whitened U through Cyx U
-        gv = grad_v(vt, cyy_vt, cyx_u, ctx.q, ctx.s_inv_y, stats.n, hp)
-        vt, dv = momentum_step(vt, dv, gv, hp)
-        if not np.isfinite(vt).all():
-            raise NonFiniteIterate("V update produced non-finite values; reduce eta")
-        v, cyy_vt, cyy_v = _whiten(vt, stats.cyy, zw)
-        cxy_v = stats.cxy @ v
-        pair = CanonicalPair(u=u, v=v)
-
-        # the next iteration's context starts from these moments (full batch)
-        pm = PairMoments.of(pair, cxx_u, cxy_v, cyx_u, cyy_v, stats.n)
-        obj = objective(pm, hp)
-        if not np.isfinite(obj):
-            raise NonFiniteIterate("objective became non-finite; reduce eta")
-        trace.append(obj)
-        if obj > 10.0 * trace[0] and obj > 1e-12:
-            raise NonFiniteIterate(
-                f"objective grew from {trace[0]:.3e} to {obj:.3e}; reduce eta"
+            # the loop whitened against minibatch covariances; restore the
+            # exact full-batch constraints
+            pair = CanonicalPair(
+                u=_whiten(ut, full.cxx, zw, _rounding_scale(full.cxx))[0],
+                v=_whiten(vt, full.cyy, zw, _rounding_scale(full.cyy))[0],
             )
-        if on_iteration is not None:
-            on_iteration(it, pair)
-        if _converged(trace, hp.tol):
-            termination = Termination.CONVERGED
-            break
-
-    if batches is not None:
-        # the loop whitened against minibatch covariances; restore the exact
-        # full-batch constraints
-        pair = CanonicalPair(u=_whiten(ut, full.cxx, zw)[0], v=_whiten(vt, full.cyy, zw)[0])
 
     return FitReport(
         pair=pair,
         iterations_run=it,
         objective_trace=tuple(trace),
-        final_constraint_residual_u=_residual(pair.u, full.cxx),
-        final_constraint_residual_v=_residual(pair.v, full.cyy),
+        final_constraint_residual_u=whitening_residual(pair.u, full.cxx),
+        final_constraint_residual_v=whitening_residual(pair.v, full.cyy),
         termination=termination,
         wall_seconds=time.perf_counter() - start,
     )

@@ -479,6 +479,8 @@ _Y_SHORT = "view x has 100 samples but view y has 80"
 _X_SHORT = "view x has 80 samples but view y has 100"
 _NAN = "view x contains non-finite entries"
 _MEAN_OVERFLOW = "feature means overflowed double precision; rescale the inputs"
+_CENTER_OVERFLOW = "centered values overflowed double precision; rescale the inputs"
+_COV_OVERFLOW = "view covariance overflowed double precision; rescale the inputs"
 _PCC_OVERFLOW = ("Pearson correlation overflowed double precision or met a non-finite "
                  "projection; rescale the inputs")
 _INPUT_FAULTS = {
@@ -506,6 +508,17 @@ _INPUT_FAULTS = {
     "train-mean-overflow": (["train", "--x", "xhuge.csv", "--y", "y.csv"], 18, _MEAN_OVERFLOW),
     "closed-form-mean-overflow": (["train", "--variant", "closed-form",
                                    "--x", "xhuge.csv", "--y", "y.csv"], 18, _MEAN_OVERFLOW),
+    # xcov.csv is x.csv times 1e160: its means are finite, but its
+    # covariance overflows where the closed form forms it
+    "closed-form-cov-overflow": (["train", "--variant", "closed-form",
+                                  "--x", "xcov.csv", "--y", "y.csv"], 18, _COV_OVERFLOW),
+    "compare-cov-overflow": (["compare", "--variants", "closed-form",
+                              "--x", "xcov.csv", "--y", "y.csv"], 18, _COV_OVERFLOW),
+    # xspread.csv is x.csv with its first column -1.797e308 in the first row
+    # (a training row) and 2.3e306 below: the training half's mean is finite,
+    # but the first row less it overflows
+    "train-center-overflow": (["train", "--x", "xspread.csv", "--y", "y.csv"], 18,
+                              _CENTER_OVERFLOW),
 }
 
 
@@ -526,8 +539,13 @@ def test_unpaired_or_non_finite_views_exit_typed(tmp_path, monkeypatch, capsys, 
     (tmp_path / "xnan.csv").write_text("nan" + first[first.index(","):] + "".join(lines["x"][1:]))
     (tmp_path / "xbig.csv").write_text("".join(
         ",".join(repr(1e307 * float(v)) for v in line.split(",")) + "\n" for line in lines["x"]))
+    (tmp_path / "xcov.csv").write_text("".join(
+        ",".join(repr(1e160 * float(v)) for v in line.split(",")) + "\n" for line in lines["x"]))
     (tmp_path / "xhuge.csv").write_text("".join(
         "1.5e308" + line[line.index(","):] for line in lines["x"]))
+    (tmp_path / "xspread.csv").write_text("".join(
+        ("-1.7976931348623157e308" if i == 0 else "2.3e306") + line[line.index(","):]
+        for i, line in enumerate(lines["x"])))
     assert main(["train", "--x", "x.csv", "--y", "y.csv", "--k", "1", "--iters", "20",
                  "--model-out", "model.rmen", "--out", "trained.json"]) == 0
     assert main(["train", "--x", "x.csv", "--y", "y.csv", "--k", "1", "--iters", "20",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,37 @@ def test_center_names_a_mean_overflow():
     with pytest.raises(NonFiniteEntry):
         x = r.center(r.ViewMatrix.of(data))
         r.TwoViewDataset(x=x, y=x)
+
+
+def test_center_names_a_centering_overflow():
+    """Finite entries with a finite mean whose difference from it overflows
+    are a numeric failure of centering, raised with no warning, not a
+    non-finite view refused later."""
+    data = np.array([[1.7e308, -1.7e308, 0.5e308, 0.5e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteIterate, match="centered values overflowed"):
+            r.center(r.ViewMatrix.of(data))
+        with pytest.raises(NonFiniteIterate, match="centered values overflowed"):
+            r.center_with_means(r.ViewMatrix.of(data), np.array([0.25e308]))
+
+
+def test_views_are_read_only_without_a_copy():
+    """A view holds a read-only view of its array: writing into a dataset's
+    data raises instead of silently voiding its finiteness check and kept
+    statistics, no copy is made, and the caller's array stays writable.
+    Views made by centering and splitting are read-only too."""
+    raw = np.asfortranarray(np.random.default_rng(0).standard_normal((3, 40)))
+    view = r.ViewMatrix.of(raw)
+    ds = r.TwoViewDataset(x=view, y=r.ViewMatrix.of(raw[:2]))
+    assert np.shares_memory(view.data, raw)
+    with pytest.raises(ValueError):
+        ds.x.data[0, 0] = 1.0
+    raw[0, 0] = 1.0
+    assert view.data[0, 0] == 1.0
+    train, val = r.split_train_validation(ds, 0.25, seed=0)
+    for made in (r.center(view), r.center_with_means(view, np.zeros(3)), train.x, val.y):
+        assert not made.data.flags.writeable
 
 
 def test_center_with_means_keeps_flag_but_not_zero_sums():

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -565,6 +566,104 @@ def test_carried_pair_moments_match_fresh_ones(monkeypatch, kernel, penalty, lam
         r.fit_full(centered(ds), hp)
     assert len(stats) == 1 and checked[0] == 40
     assert worst[0] <= 1e-10
+
+
+# ------------------------------------------------- statistics per dataset
+
+def _recording_statistics(monkeypatch, scale=1.0):
+    """Wrap solver.second_moments to record each call's sample count and
+    to return its statistics times `scale`; returns the recorded counts."""
+    calls = []
+    real = solver.second_moments
+
+    def recording(x, y):
+        calls.append(x.shape[1])
+        s = real(x, y)
+        if scale == 1.0:
+            return s
+        return solver.SecondMoments(cxx=scale * s.cxx, cyy=scale * s.cyy,
+                                    cxy=scale * s.cxy, n=s.n)
+
+    monkeypatch.setattr(solver, "second_moments", recording)
+    return calls
+
+
+def test_fit_closed_form_and_residual_share_one_statistics_pass(monkeypatch):
+    """fit_full, cca_closed_form and constraint_residual on one dataset form
+    its statistics with one second_moments call, and all three read them:
+    with the statistics scaled by 4 behind their back, the fit's pair meets
+    U^T (4 Cxx) U = I and so does the closed form's, and the residual
+    measures against 4 Cxx too (against Cxx itself it would be 0.75 sqrt(k))."""
+    calls = _recording_statistics(monkeypatch, scale=4.0)
+    ds = centered(planted(300, 6, 5, (0.8, 0.6), 0.2, seed=21)[0])
+    k = 2
+    report = r.fit_full(ds, r.Hyperparams(k=k, max_iters=30, tol=0.0, seed=2))
+    sol = r.cca_closed_form(ds, k)
+    res_u, res_v = r.constraint_residual(report.pair, ds)
+    assert calls == [ds.n]
+    assert max(res_u, res_v) <= 1e-8 * k
+    x, y = ds.x.data, ds.y.data
+    for m, view in ((sol.pair.u, x), (sol.pair.v, y)):
+        gram = m.T @ (4.0 * (view @ view.T / ds.n)) @ m
+        assert np.linalg.norm(gram - np.eye(k)) <= 1e-8 * k
+
+
+def test_minibatch_fits_form_the_full_statistics_once(monkeypatch):
+    """Two minibatch fits on one dataset make one full second_moments call
+    between them, plus one call per batch."""
+    calls = _recording_statistics(monkeypatch)
+    ds = centered(planted(300, 6, 5, (0.8, 0.6), 0.2, seed=21)[0])
+    hp = r.Hyperparams(k=2, batch_size=32, max_iters=7, tol=0.0, seed=2)
+    r.fit_full(ds, hp)
+    r.fit_stochastic(ds, replace(hp, seed=3))
+    r.constraint_residual(feasible_pair(np.random.default_rng(0), ds, 2), ds)
+    assert calls == [300] + [32] * 14
+
+
+def test_kept_statistics_are_a_fresh_second_moments_bit_for_bit():
+    """The statistics a dataset keeps equal second_moments formed afresh bit
+    for bit, are formed once per dataset (a split gets its own), and give
+    the residual the bits of x x^T / n."""
+    ds = centered(planted(300, 6, 5, (0.8, 0.6), 0.2, seed=21)[0])
+    kept = solver.dataset_moments(ds)
+    fresh = second_moments(ds.x.data, ds.y.data)
+    for name in ("cxx", "cyy", "cxy"):
+        got, want = getattr(kept, name), getattr(fresh, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert kept.n == ds.n
+    assert solver.dataset_moments(ds) is kept
+    part, _ = r.split_train_validation(ds, 0.5, seed=0)
+    assert solver.dataset_moments(part) is not kept
+    x = ds.x.data
+    pair = feasible_pair(np.random.default_rng(1), ds, 2)
+    gram = pair.u.T @ (x @ x.T / ds.n) @ pair.u
+    assert r.constraint_residual(pair, ds)[0] == float(np.linalg.norm(gram - np.eye(2)))
+
+
+def _overflowing_dataset():
+    """A finite dataset whose x covariance overflows: 50 samples of 3
+    features of size about 1e160."""
+    rng = np.random.default_rng(0)
+    return r.TwoViewDataset(x=r.ViewMatrix.of(1e160 * rng.standard_normal((3, 50))),
+                            y=r.ViewMatrix.of(rng.standard_normal((2, 50))))
+
+
+def test_covariance_overflow_is_one_typed_error():
+    """A covariance that overflows double precision is refused as
+    NonFiniteIterate, with one message and no warning, by the fit, the
+    closed form and the residual alike, each on a fresh dataset."""
+    pair = r.CanonicalPair(u=np.ones((3, 1)), v=np.ones((2, 1)))
+    for run in (
+        lambda ds: r.fit_full(ds, r.Hyperparams(k=1, max_iters=5)),
+        lambda ds: r.cca_closed_form(ds, 1),
+        lambda ds: r.constraint_residual(pair, ds),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteIterate, match=(
+                    "^view covariance overflowed double precision; rescale the inputs$")):
+                run(_overflowing_dataset())
 
 
 def test_project_hand_oracle():

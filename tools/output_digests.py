@@ -54,7 +54,8 @@ RUNS = {  # name: train flags beyond the inputs and FIT
 # name: argv.  x480.csv and y480.csv hold the first 480 of the 600 rows of
 # x.csv and y.csv, xnan.csv is x.csv with its first field 'nan', ragged.csv
 # is x.csv with one field cut from its second row, x1e307.csv is x.csv times
-# 1e307, xhuge.csv is x.csv with its first column 1.5e308, nan-u.rmen is
+# 1e307, x1e160.csv is x.csv times 1e160 (finite means, an overflowing
+# covariance), xhuge.csv is x.csv with its first column 1.5e308, nan-u.rmen is
 # rmen.rmen with a NaN over U's first entry, kind7.rmen is
 # kernel-rmen-gaussian.rmen with its first kernel kind byte 7, and absent.csv
 # does not exist
@@ -70,6 +71,8 @@ FAILURES = {
     "kernel-kind-7": ["eval", "--x", "x.csv", "--y", "y.csv", "--model", "kind7.rmen"],
     "eval-overflow": ["eval", "--x", "x1e307.csv", "--y", "y.csv", "--model", "rmen.rmen"],
     "mean-overflow": ["train", "--x", "xhuge.csv", "--y", "y.csv", *FIT],
+    "closed-form-cov-overflow": ["train", "--x", "x1e160.csv", "--y", "y.csv", *FIT,
+                                 "--variant", "closed-form"],
 }
 # a model file's magic, version, kind byte and hyperparameter block
 MODEL_HEADER = 8 + 4 + 1 + struct.calcsize("<IdddddIdqqB")
@@ -99,6 +102,8 @@ def _failure_inputs(tmp: str) -> None:
         "xnan.csv": ["nan" + lines["x"][0][lines["x"][0].index(","):], *lines["x"][1:]],
         "ragged.csv": [lines["x"][0], lines["x"][1].split(",", 1)[1], *lines["x"][2:]],
         "x1e307.csv": [",".join(repr(1e307 * float(v)) for v in row.split(",")) + "\n"
+                       for row in lines["x"]],
+        "x1e160.csv": [",".join(repr(1e160 * float(v)) for v in row.split(",")) + "\n"
                        for row in lines["x"]],
         "xhuge.csv": ["1.5e308" + row[row.index(","):] for row in lines["x"]],
     }
