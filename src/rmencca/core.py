@@ -53,7 +53,8 @@ class ViewMatrix:
     dataset's finiteness check and the statistics solver.dataset_moments
     keeps.  A writable array passed in gets a read-only view (no copy) and
     stays writable itself; writing into it behind the view's back voids both.
-    An array that is already read-only is taken as it is.
+    An array that is already read-only is taken as it is.  A copy or pickle
+    of a view is built again, so its data is read-only too.
     """
 
     data: np.ndarray
@@ -66,8 +67,17 @@ class ViewMatrix:
             data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
+    def __reduce__(self):
+        return ViewMatrix, (self.data, self.feature_means)
+
     @classmethod
     def of(cls, data) -> "ViewMatrix":
+        """A view of `data` with zero feature means.  No copy is made of
+        sample-major float64 data: the view then reads the caller's array,
+        which stays writable, and writing into that array afterwards voids
+        the statistics a dataset built on the view keeps (fits, the closed
+        form and the residual would read the old statistics, projections the
+        new data).  Pass a copy to keep using the array."""
         m = _as_matrix(data)
         return cls(data=m, feature_means=np.zeros(m.shape[0]))
 
@@ -88,7 +98,9 @@ class TwoViewDataset:
     Both checks, and the statistics Cxx, Cyy and Cxy that
     solver.dataset_moments forms on first use and keeps on the dataset
     (shared by fit_full, cca_closed_form and constraint_residual), stay
-    valid because the views are read-only.
+    valid because the views are read-only (see ViewMatrix.of for an array
+    the caller keeps writing into).  A copy or pickle is built again from
+    the views: checked again, and with no statistics kept.
     """
 
     x: ViewMatrix
@@ -106,6 +118,9 @@ class TwoViewDataset:
                 total = view.data.sum()
             if not np.isfinite(total) and not np.isfinite(view.data).all():
                 raise NonFiniteEntry(f"view {name} contains non-finite entries")
+
+    def __reduce__(self):
+        return TwoViewDataset, (self.x, self.y)
 
     @property
     def n(self) -> int:

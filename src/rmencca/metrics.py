@@ -64,7 +64,10 @@ def pcc(a: np.ndarray, b: np.ndarray) -> PccReport:
 def constraint_residual(pair: CanonicalPair, ds: TwoViewDataset) -> tuple[float, float]:
     """Frobenius distances of U^T(XX^T/n)U and V^T(YY^T/n)V from identity,
     with the dataset's statistics as a fit on it forms them (formed here
-    only if nothing has yet); raises NonFiniteIterate when they overflow."""
+    only if nothing has yet); raises NonFiniteIterate when they overflow.
+    It checks the pair against the statistics a fit on ds whitened against,
+    not those statistics themselves (see ViewMatrix.of for how they can go
+    stale)."""
     stats = dataset_moments(ds)
     return whitening_residual(pair.u, stats.cxx), whitening_residual(pair.v, stats.cyy)
 

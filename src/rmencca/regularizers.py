@@ -6,10 +6,8 @@ Z = [proj_x proj_y].  M has rank at most 2k, so the operator is factored from
 an eigh of the 2k x 2k Gram Z^T Z.  It has one mode: it is built from an
 image T Z of Z under a linear map T (the solver uses T = X and T = Y, the
 images coming from the pair moments) together with the Gram's eigh, so that
-T S^-1 T^T is applied without ever forming an n-length array.  One eigh
-serves both images and the nuclear norm, and the part of the operator formed
-from it alone (SInverseSpectrum) serves both images.  The n-space operator
-is the case T = I.
+T S^-1 T^T is applied without ever forming an n-length array; one eigh serves
+both images and the nuclear norm.  The n-space operator is the case T = I.
 
 zeta reaches these functions only as Hyperparams.zeta, which is checked
 finite and positive there, so it is not checked again here.
@@ -32,22 +30,6 @@ _RANK_CUTOFF = 1e-12
 
 
 @dataclass(eq=False, slots=True)
-class SInverseSpectrum:
-    """The part of the S-inverse that depends only on the eigh (lam, W) of
-    the 2k x 2k Gram Z^T Z and on zeta, so every image of the same Z shares
-    it: coef = W_r lam_r^(-1/2) for the r kept eigenpairs (an image T Z times
-    coef is the basis T Phi), scaled_eigs = (lam_r + zeta)^(-1/2),
-    complement_scale = zeta^(-1/2) and shift = scaled_eigs - complement_scale
-    as an r x 1 column.  The loop forms one per iteration (a slotted class:
-    cheap to build; treat it as read-only)."""
-
-    coef: np.ndarray
-    scaled_eigs: np.ndarray
-    complement_scale: float
-    shift: np.ndarray
-
-
-@dataclass(eq=False, slots=True)
 class SInverseOperator:
     """Factored T S^-1 T^T for a linear map T, S^-1 = (M + zeta I)^(-1/2).
 
@@ -55,17 +37,14 @@ class SInverseOperator:
     S^-1 = complement_scale I + Phi diag(scaled_eigs - complement_scale) Phi^T,
     where complement_scale = zeta^(-1/2) scales everything orthogonal to
     span(Phi).  basis holds T Phi (n x r, n the row count of the space the
-    operator acts on): Phi itself when T is the identity.  The rest is
-    `spectrum`, shared by every image of the same Z.  Like SInverseSpectrum
-    it is slotted and read-only by convention.
+    operator acts on): Phi itself when T is the identity.  The loop builds
+    two per iteration, so it is slotted rather than frozen (cheaper to
+    build); treat it as read-only.
     """
 
     basis: np.ndarray
-    spectrum: SInverseSpectrum
-
-    @property
-    def scaled_eigs(self) -> np.ndarray:
-        return self.spectrum.scaled_eigs
+    scaled_eigs: np.ndarray
+    complement_scale: float
 
 
 def l21_norm(m: np.ndarray) -> float:
@@ -104,34 +83,22 @@ def hq_diagonal(m: np.ndarray, zeta: float) -> np.ndarray:
     return 1.0 / (2.0 * np.sqrt(sq + zeta))
 
 
-def s_inverse_spectrum(spectrum, zeta: float) -> SInverseSpectrum:
-    """The shared part of the operator, from the eigh `spectrum` = (lam, W)
-    of the 2k x 2k Gram Z^T Z: its nonzero eigenvalues are the nonzero
-    spectrum of M, and Phi = Z W lam^(-1/2)."""
-    lam, w = spectrum
-    keep = _kept(lam)
-    lam = lam[keep]
-    scaled_eigs = 1.0 / np.sqrt(lam + zeta)
-    complement_scale = zeta ** -0.5
-    return SInverseSpectrum(
-        coef=w[:, keep] / np.sqrt(lam),
-        scaled_eigs=scaled_eigs,
-        complement_scale=complement_scale,
-        shift=(scaled_eigs - complement_scale)[:, None],
-    )
-
-
 def build_s_inverse(proj_x, proj_y, zeta: float, spectrum) -> SInverseOperator:
     """Factor the operator from the two blocks of an image T Z = [proj_x proj_y].
 
-    `spectrum` is the eigh (lam, W) of the 2k x 2k Gram Z^T Z, or the
-    SInverseSpectrum formed from it and zeta, which images of the same Z
-    share; the basis is T Phi = T Z W lam^(-1/2).
+    `spectrum` = (lam, W) is the eigh of the 2k x 2k Gram Z^T Z; it yields
+    the nonzero spectrum of M (the eigenvalues lam) and
+    Phi = Z W lam^(-1/2), so the basis is T Phi.
     """
-    if not isinstance(spectrum, SInverseSpectrum):
-        spectrum = s_inverse_spectrum(spectrum, zeta)
-    basis = np.concatenate([proj_x, proj_y], axis=1) @ spectrum.coef
-    return SInverseOperator(basis=basis, spectrum=spectrum)
+    concat = np.concatenate([proj_x, proj_y], axis=1)
+    lam, w = spectrum
+    keep = _kept(lam)
+    lam = lam[keep]
+    return SInverseOperator(
+        basis=concat @ (w[:, keep] / np.sqrt(lam)),
+        scaled_eigs=1.0 / np.sqrt(lam + zeta),
+        complement_scale=zeta ** -0.5,
+    )
 
 
 def apply_s_inverse(op: SInverseOperator, m, outer) -> np.ndarray:
@@ -139,6 +106,7 @@ def apply_s_inverse(op: SInverseOperator, m, outer) -> np.ndarray:
 
     `outer` is T T^T m (m itself when T is the identity).
     """
-    spec = op.spectrum
     coeff = op.basis.T @ m
-    return spec.complement_scale * outer + op.basis @ (spec.shift * coeff)
+    return op.complement_scale * outer + op.basis @ (
+        (op.scaled_eigs - op.complement_scale)[:, None] * coeff
+    )

@@ -37,11 +37,10 @@ At small d an iteration is bound by Python-level calls, not arithmetic, so
 the loop spends none it does not need while every phase stays a module-level
 function it calls by name (tracing tools wrap those names): one np.errstate
 around the whole loop instead of one per whitening, the pair Gram written
-into one preallocated 2k x 2k array, tr(cov) taken once per set of
-statistics, the S-inverse's shared part formed once for both views, and
-slotted per-iteration records.  None of this changes a floating-point
-operation or its order, so trajectories are bitwise those of the plain
-formulation.
+into one preallocated 2k x 2k array, slotted per-iteration records, and
+no asarray, np.trace or np.linalg.norm dispatch on arrays known to be
+float.  None of this changes a floating-point operation or its order, so
+trajectories are bitwise those of the plain formulation.
 
 With hp.batch_size = m < n, fit_full draws a fresh subset of m samples each
 iteration (views are stored sample-major, so the gather reads m contiguous
@@ -82,7 +81,6 @@ from .regularizers import (  # noqa: F401  nuclear_norm: see below
     hq_diagonal,
     l21_norm,
     nuclear_norm,
-    s_inverse_spectrum,
 )
 
 # nuclear_norm is not called here (the objective takes the nuclear norm from
@@ -275,8 +273,7 @@ def build_context(pm: PairMoments, hp: Hyperparams) -> IterationContext:
     pair = pm.pair
     s_inv_x = s_inv_y = None
     if hp.lambda2 != 0.0:
-        # the part formed from the Gram's eigh alone, shared by both images
-        spec = s_inverse_spectrum(pm.spectrum, hp.zeta)
+        spec = pm.spectrum
         s_inv_x = build_s_inverse(pm.n * pm.cxx_u, pm.n * pm.cxy_v, hp.zeta, spec)
         s_inv_y = build_s_inverse(pm.n * pm.cyx_u, pm.n * pm.cyy_v, hp.zeta, spec)
     if hp.penalty is Penalty.L21:
@@ -388,20 +385,14 @@ def normalize(m_tilde: np.ndarray, cov: np.ndarray, zeta: float) -> np.ndarray:
         return m_tilde @ whitening_factor(m_tilde, cov @ m_tilde, zeta)[0]
 
 
-def _rounding_scale(cov: np.ndarray | LowRank) -> float:
-    """d eps tr(cov), the factor of _whiten's rounding bound that depends
-    on the statistic alone, formed once per set of statistics."""
-    return cov.shape[0] * _EPS * cov.trace()
-
-
 def _whiten(
-    m_tilde: np.ndarray, cov: np.ndarray, zeta: float, scale: float
+    m_tilde: np.ndarray, cov: np.ndarray, zeta: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(W, cov m_tilde, cov W) for the whitened W, from one product with cov,
     or two when the first pass may be short of rounding level.
 
     The first pass whitens against G = m_tilde^T cov m_tilde.  Its relative
-    error in the constraint is bounded by (scale = _rounding_scale(cov))
+    error in the constraint is bounded by
 
       beta = (d eps tr(cov) ||m_tilde||_F^2 + zeta) / (lambda_min(G) + zeta)
 
@@ -419,7 +410,7 @@ def _whiten(
     cov_mt = cov @ m_tilde
     r1, lam_min = whitening_factor(m_tilde, cov_mt, zeta)
     w1 = m_tilde @ r1
-    rounding = scale * float((m_tilde * m_tilde).sum())
+    rounding = cov.shape[0] * _EPS * cov.trace() * float((m_tilde * m_tilde).sum())
     if rounding + zeta <= _REFINE_BOUND * (lam_min + zeta):
         return w1, cov_mt, cov_mt @ r1
     cov_w1 = cov @ w1
@@ -500,10 +491,7 @@ def fit_moments(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u0 = rng.standard_normal((d1, k))
         v0 = rng.standard_normal((d2, k))
-        scale_x, scale_y = _rounding_scale(full.cxx), _rounding_scale(full.cyy)
-        pair = CanonicalPair(
-            u=_whiten(u0, full.cxx, zw, scale_x)[0], v=_whiten(v0, full.cyy, zw, scale_y)[0]
-        )
+        pair = CanonicalPair(u=_whiten(u0, full.cxx, zw)[0], v=_whiten(v0, full.cyy, zw)[0])
         # the unnormalized iterates U~, V~ and their momenta
         ut, vt = np.zeros((d1, k)), np.zeros((d2, k))
         du, dv = np.zeros((d1, k)), np.zeros((d2, k))
@@ -515,7 +503,6 @@ def fit_moments(
         for it in range(1, hp.max_iters + 1):
             if batches is not None:
                 stats = batches(rng)
-                scale_x, scale_y = _rounding_scale(stats.cxx), _rounding_scale(stats.cyy)
                 pm, cxx_ut, cyy_vt = _moments_of_state(stats, pair, ut, vt)
 
             ctx = build_context(pm, hp)
@@ -524,7 +511,7 @@ def fit_moments(
             ut, du = momentum_step(ut, du, gu, hp)
             if not np.isfinite(ut).all():
                 raise NonFiniteIterate("U update produced non-finite values; reduce eta")
-            u, cxx_ut, cxx_u = _whiten(ut, stats.cxx, zw, scale_x)
+            u, cxx_ut, cxx_u = _whiten(ut, stats.cxx, zw)
             cyx_u = stats.cxy.T @ u
 
             # V's step sees the freshly whitened U through Cyx U
@@ -532,7 +519,7 @@ def fit_moments(
             vt, dv = momentum_step(vt, dv, gv, hp)
             if not np.isfinite(vt).all():
                 raise NonFiniteIterate("V update produced non-finite values; reduce eta")
-            v, cyy_vt, cyy_v = _whiten(vt, stats.cyy, zw, scale_y)
+            v, cyy_vt, cyy_v = _whiten(vt, stats.cyy, zw)
             cxy_v = stats.cxy @ v
             pair = CanonicalPair(u=u, v=v)
 
@@ -556,10 +543,7 @@ def fit_moments(
         if batches is not None:
             # the loop whitened against minibatch covariances; restore the
             # exact full-batch constraints
-            pair = CanonicalPair(
-                u=_whiten(ut, full.cxx, zw, _rounding_scale(full.cxx))[0],
-                v=_whiten(vt, full.cyy, zw, _rounding_scale(full.cyy))[0],
-            )
+            pair = CanonicalPair(u=_whiten(ut, full.cxx, zw)[0], v=_whiten(vt, full.cyy, zw)[0])
 
     return FitReport(
         pair=pair,

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rmencca as r
+from rmencca import solver
 from rmencca.core import validate_dataset
 from rmencca.errors import (
     BatchTooLarge,
@@ -67,36 +70,32 @@ def test_center_needs_two_samples():
 
 def test_center_names_a_mean_overflow():
     """Finite entries whose sum overflows are a numeric failure of centering,
-    not a non-finite view; a view that holds NaN or inf is still refused, as
-    non-finite, where its dataset is built."""
+    not a non-finite view, and so are finite entries whose difference from a
+    finite mean overflows (raised with no warning); a view that holds NaN or
+    inf is still refused, as non-finite, where its dataset is built."""
     data = np.ones((2, 50))
     data[1] = 1.5e308
     with pytest.raises(NonFiniteIterate, match="feature means overflowed"):
         r.center(r.ViewMatrix.of(data))
+    spread = np.array([[1.7e308, -1.7e308, 0.5e308, 0.5e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteIterate, match="centered values overflowed"):
+            r.center(r.ViewMatrix.of(spread))
+        with pytest.raises(NonFiniteIterate, match="centered values overflowed"):
+            r.center_with_means(r.ViewMatrix.of(spread), np.array([0.25e308]))
     data[1, 7] = np.nan
     with pytest.raises(NonFiniteEntry):
         x = r.center(r.ViewMatrix.of(data))
         r.TwoViewDataset(x=x, y=x)
 
 
-def test_center_names_a_centering_overflow():
-    """Finite entries with a finite mean whose difference from it overflows
-    are a numeric failure of centering, raised with no warning, not a
-    non-finite view refused later."""
-    data = np.array([[1.7e308, -1.7e308, 0.5e308, 0.5e308]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NonFiniteIterate, match="centered values overflowed"):
-            r.center(r.ViewMatrix.of(data))
-        with pytest.raises(NonFiniteIterate, match="centered values overflowed"):
-            r.center_with_means(r.ViewMatrix.of(data), np.array([0.25e308]))
-
-
 def test_views_are_read_only_without_a_copy():
     """A view holds a read-only view of its array: writing into a dataset's
     data raises instead of silently voiding its finiteness check and kept
     statistics, no copy is made, and the caller's array stays writable.
-    Views made by centering and splitting are read-only too."""
+    Views made by centering and splitting are read-only too, and so are
+    copies and pickles, which are built again and keep no statistics."""
     raw = np.asfortranarray(np.random.default_rng(0).standard_normal((3, 40)))
     view = r.ViewMatrix.of(raw)
     ds = r.TwoViewDataset(x=view, y=r.ViewMatrix.of(raw[:2]))
@@ -108,6 +107,11 @@ def test_views_are_read_only_without_a_copy():
     train, val = r.split_train_validation(ds, 0.25, seed=0)
     for made in (r.center(view), r.center_with_means(view, np.zeros(3)), train.x, val.y):
         assert not made.data.flags.writeable
+    kept = solver.dataset_moments(ds)
+    for clone in (copy.copy(ds), copy.deepcopy(ds), pickle.loads(pickle.dumps(ds))):
+        assert not clone.x.data.flags.writeable and not clone.y.data.flags.writeable
+        assert np.array_equal(clone.x.data, ds.x.data)
+        assert solver.dataset_moments(clone) is not kept
 
 
 def test_center_with_means_keeps_flag_but_not_zero_sums():
