@@ -4,16 +4,16 @@ The kernel problem is the same optimization with the two n x n Gram
 matrices standing in for the views and dual matrices (W_X, W_Y) standing in
 for (U, V).  fit_kernel forms the statistics Kx Kx / n, Ky Ky / n and
 Kx Ky / n itself and runs the solver's loop (solver.fit_moments) on them.
-A Gram whose numerical rank r, the count of its eigenvalues above
-n eps lambda_max, is at most n/4 keeps its statistic as its eigenfactor
-(solver.LowRank, 2 n r values read per product instead of n^2); the cross
-statistic goes through the factored view of smaller rank and is dense only
-when neither view factors, in which case the fit is the dense one bit for
-bit.  The factored statistics differ from the dense ones at rounding level,
-so trajectories stay deterministic for a seed and BLAS thread count but
-move around the 7th significant digit of the objective.  Grams are not
-centered in feature space; input views are centered in input space before
-they get here.
+Each statistic is kept at its own rounding level as a pivoted-Cholesky
+factor (solver.LowRank, 2 n r values read per product instead of n^2) while
+its rank r stays below n/2, and dense otherwise; the cross statistic goes
+through the Gram factor of the view of smaller rank.  No n x n
+eigendecomposition runs, and a fit in which no statistic factors is the
+dense one bit for bit.  Factored statistics differ from the dense ones at
+rounding level, so trajectories stay deterministic for a seed and BLAS
+thread count but move around the 7th significant digit of the objective.
+Grams are not centered in feature space; input views are centered in input
+space before they get here.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import solver
 from .core import FitReport, Hyperparams, TwoViewDataset, ViewMatrix
 from .errors import (
     DegenerateInput,
@@ -99,16 +98,21 @@ def _evaluate(spec: KernelSpec, a: ViewMatrix, b: ViewMatrix) -> np.ndarray:
             return a.data.T @ b.data
         sq_a = (a.data * a.data).sum(axis=0)
         sq_b = (b.data * b.data).sum(axis=0)
-        dist = sq_a[:, None] + sq_b[None, :] - 2.0 * (a.data.T @ b.data)
+        dist = sq_a[:, None] + sq_b[None, :]
+        cross = a.data.T @ b.data
+        cross *= 2.0
+        dist -= cross
         np.maximum(dist, 0.0, out=dist)
-        return np.exp(-dist / (2.0 * spec.width * spec.width))
+        dist /= -(2.0 * spec.width * spec.width)
+        return np.exp(dist, out=dist)
 
 
 def gram_gaussian(view: ViewMatrix, width: float) -> GramMatrix:
     """values[i][j] = exp(-||x_i - x_j||^2 / (2 width^2))."""
     spec = KernelSpec(kind=KernelKind.GAUSSIAN, width=width)
     values = _evaluate(spec, view, view)
-    values = 0.5 * (values + values.T)
+    values += values.T
+    values *= 0.5
     np.fill_diagonal(values, 1.0)
     return GramMatrix(values=values, spec=spec, train_points=view)
 
@@ -117,7 +121,8 @@ def gram_linear(view: ViewMatrix) -> GramMatrix:
     """values = X^T X."""
     spec = KernelSpec(kind=KernelKind.LINEAR)
     values = _evaluate(spec, view, view)
-    values = 0.5 * (values + values.T)
+    values += values.T
+    values *= 0.5
     return GramMatrix(values=values, spec=spec, train_points=view)
 
 
@@ -162,12 +167,11 @@ def fit_kernel(
     if hp.k > n:
         raise RankBudgetTooLarge(f"k={hp.k} exceeds the sample count n={n}")
     start = time.perf_counter()
-    # each eigh runs while as few n x n arrays as possible are alive: Kx is
-    # factored before Ky exists, and Ky is probed first
+    # Kx is factored before Ky is built, so fewer n x n arrays live together
     gx = build_gram(ds.x, kind_x)
-    fx = _eigenfactor(gx.values)
+    fx = _gram_factor(gx.values)
     gy = build_gram(ds.y, kind_y)
-    fy = _eigenfactor(gy.values, probe=True)
+    fy = _gram_factor(gy.values)
     with np.errstate(over="ignore", invalid="ignore"):
         stats = _statistics(gx.values, fx, gy.values, fy)
     report = fit_moments(stats.require_finite(), hp, on_iteration, start=start)
@@ -180,62 +184,69 @@ def fit_kernel(
     )
 
 
-def _kept(vals: np.ndarray) -> np.ndarray | None:
-    """Mask of the n ascending eigenvalues of a Gram that its factor keeps,
-    those above n eps lambda_max, or None when that is more than n/4."""
-    if not np.isfinite(vals).all():
+def _pivoted_cholesky(a: np.ndarray) -> np.ndarray | None:
+    """L (n x r) with a - L L^T PSD and of trace at most n eps tr(a), the
+    rounding level of the PSD a, pivoting on the residual's largest diagonal
+    entry; None once r reaches n/2, where L and L^T read as many values as a.
+    Raises NonFiniteIterate when a is not finite."""
+    n = a.shape[0]
+    if not np.isfinite(a).all():
         raise NonFiniteIterate(_OVERFLOW)
-    n = vals.size
-    keep = vals > n * _EPS * vals[-1]
-    return None if 4 * np.count_nonzero(keep) > n else keep
+    resid = a.diagonal().copy()
+    tol = n * _EPS * resid.sum()
+    rows = np.empty((0, n))  # L^T, grown with the rank rather than sized to n/2
+    for r in range((n + 1) // 2):
+        if resid.sum() <= tol:
+            return rows[:r].copy().T
+        if r == len(rows):
+            grown = np.empty((min(2 * r + 16, (n + 1) // 2), n))
+            grown[:r] = rows
+            rows = grown
+        i = int(resid.argmax())
+        rows[r] = a[i] - rows[:r, i] @ rows[:r]
+        rows[r] /= np.sqrt(resid[i])
+        resid -= rows[r] * rows[r]
+    return None
 
 
-def _eigenfactor(
-    gram: np.ndarray, probe: bool = False
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """(P, s) with gram = P diag(s) P^T up to the eigenvalues _kept drops,
-    or None when the Gram does not factor.  With probe, the eigenvalues are
-    first formed alone (eigvalsh: one n x n workspace, where eigh takes about
-    four) and the eigenvectors only when the Gram factors."""
-    try:
-        if probe and _kept(np.linalg.eigvalsh(gram)) is None:
-            return None
-        vals, vecs = np.linalg.eigh(gram)
-    except np.linalg.LinAlgError:
-        # a Gram with infinite entries can stop LAPACK instead of giving NaN
-        if np.isfinite(gram).all():
-            raise
-        raise NonFiniteIterate(_OVERFLOW) from None
-    keep = _kept(vals)
-    return None if keep is None else (vecs[:, keep], vals[keep])
+def _gram_factor(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(B, s) with gram = B B^T at its rounding level, B^T B = diag(s)
+    ascending, or None: the pivoted-Cholesky L rotated by the r x r eigh of
+    L^T L, keeping the s above n eps max(s)."""
+    low = _pivoted_cholesky(gram)
+    if low is None:
+        return None
+    s, q = np.linalg.eigh(low.T @ low)
+    keep = s > gram.shape[0] * _EPS * s.max(initial=0.0)
+    return low @ q[:, keep], s[keep]
 
 
 def _statistics(kx, fx, ky, fy) -> SecondMoments:
-    """Cxx = Kx Kx / n, Cyy = Ky Ky / n and Cxy = Kx Ky / n.  A view with an
-    eigenfactor (P, s) keeps Cxx = P diag(s^2 / n) P^T; the cross statistic
-    goes through the factor of smaller rank, Cxy = P diag(s / n) (Ky P)^T."""
+    """Cxx = Kx Kx / n, Cyy = Ky Ky / n and Cxy = Kx Ky / n.  A view whose
+    Gram factors as (B, s) has Cxx = B diag(s / n) B^T over the columns whose
+    Cxx eigenvalue s^2 / n is above n eps times the largest, and the Gram of
+    smaller rank gives Cxy = B (Ky B)^T / n; any other statistic is formed
+    as second_moments forms it, then kept as its pivoted-Cholesky L L^T."""
     n = kx.shape[0]
-    if fx is None and fy is None:
-        # the Grams are exactly symmetric, so their transposes are the same
-        # matrices read sample-major, as the views of a linear fit are; the
-        # call goes through the module so that a wrapper installed on
-        # solver.second_moments sees it, as it sees the linear fits' calls
-        return solver.second_moments(kx.T, ky.T)
 
     def moment(k, f):
-        if f is None:  # formed as second_moments forms it
+        if f is None:
             c = k.T @ k
             c /= n
-            return c
-        p, s = f
-        return LowRank(p, s * s / n, p)
+            low = _pivoted_cholesky(c)
+            return c if low is None else LowRank(low, np.ones(low.shape[1]), low)
+        b, s = f
+        keep = s * s > n * _EPS * s.max(initial=0.0) ** 2
+        kept = b[:, keep]
+        return LowRank(kept, s[keep] / n, kept)
 
-    if fy is None or (fx is not None and fx[1].size <= fy[1].size):
-        p, s = fx
-        cxy = LowRank(p, s / n, ky @ p)
+    if fx is None and fy is None:
+        cxy = kx.T @ ky
+        cxy /= n
+    elif fy is None or (fx is not None and fx[1].size <= fy[1].size):
+        cxy = LowRank(fx[0], np.full(fx[1].size, 1.0 / n), ky @ fx[0])
     else:
-        q, t = fy
-        cxy = LowRank(kx @ q, t / n, q)
+        cxy = LowRank(kx @ fy[0], np.full(fy[1].size, 1.0 / n), fy[0])
     return SecondMoments(cxx=moment(kx, fx), cyy=moment(ky, fy), cxy=cxy, n=n)
 
 

@@ -50,10 +50,11 @@ restores the exact full-batch whitening constraints once at the end.
 
 fit_moments is the loop; it takes the statistics, so the kernel fit runs it
 on statistics formed from its two n x n Gram matrices.  There a statistic is
-an n x n ndarray or, for a Gram of numerical rank r <= n/4, a LowRank held
-as n x r factors, whose product with an n x k block reads 2 n r values
-instead of n^2 (see kernel.fit_kernel).  Besides the statistics, the loop
-holds only d x k iterates and k x k work.
+a LowRank held as n x r factors when it has a pivoted-Cholesky factor of
+rank r < n/2 at its rounding level, whose product with an n x k block reads
+2 n r values instead of n^2, and an n x n ndarray otherwise (see
+kernel.fit_kernel).  Besides the statistics, the loop holds only d x k
+iterates and k x k work.
 """
 from __future__ import annotations
 
@@ -221,8 +222,7 @@ class IterationContext:
 def second_moments(x: np.ndarray, y: np.ndarray) -> SecondMoments:
     """Statistics of two views, each logically features x samples (d x n)."""
     n = x.shape[1]
-    # in-place scaling: no second d x d temporary, which matters for the
-    # n x n "views" of a kernel fit
+    # in-place scaling: no second d x d temporary
     cxx = x @ x.T
     cxx /= n
     cyy = y @ y.T
@@ -446,8 +446,10 @@ def project(pair: CanonicalPair, ds: TwoViewDataset) -> tuple[np.ndarray, np.nda
 def fit_full(ds: TwoViewDataset, hp: Hyperparams, on_iteration=None) -> FitReport:
     """Fit the pair on `ds`; with hp.batch_size < n each iteration runs on
     the statistics of a fresh minibatch of that size, and batch_size = n is
-    the full-batch fit.  `on_iteration(i, pair)`, when given, is called after
-    every iteration with the freshly whitened pair."""
+    the full-batch fit, whose iterations cost less with the data in memory
+    (a minibatch one forms its batch's statistics, O(m d^2), and makes 10
+    products with them against 4).  `on_iteration(i, pair)`, when given, is
+    called after every iteration with the freshly whitened pair."""
     validate_dataset(ds, hp)
     start = time.perf_counter()
     full = dataset_moments(ds)

@@ -176,6 +176,11 @@ def _factoring_case(case):
         train, val = _sinusoid(400, seed=6)
         hp = r.Hyperparams(k=1, eta=0.003, gamma=0.99, max_iters=600, tol=0.0, seed=3)
         return (train, val, *_SINUSOID_SPECS, hp, (True, False))
+    if case == "every statistic factors":
+        # the y Gram does not factor, its statistic Ky Ky / n does
+        train, val = _sinusoid(800, seed=6)
+        hp = r.Hyperparams(k=1, eta=0.0015, gamma=0.99, max_iters=300, tol=0.0, seed=3)
+        return (train, val, *_SINUSOID_SPECS, hp, (True, True))
     train, val = slice_split(planted(240, 6, 5, (0.8, 0.5), 0.2, seed=5)[0], 120)
     if case == "both views factor":
         lin = r.KernelSpec(kind=r.KernelKind.LINEAR)
@@ -186,18 +191,34 @@ def _factoring_case(case):
     return train, val, gauss, gauss, hp, (False, False)
 
 
+def _loop_statistics(monkeypatch):
+    """Record the statistics fit_kernel hands to the loop; returns the list."""
+    seen = []
+    fit_moments_ = kernel.fit_moments
+
+    def recording(stats, hp, on_iteration=None, **kwargs):
+        seen.append(stats)
+        return fit_moments_(stats, hp, on_iteration, **kwargs)
+
+    monkeypatch.setattr(kernel, "fit_moments", recording)
+    return seen
+
+
 @pytest.mark.parametrize(
-    "case", ["one view factors", "both views factor", "neither view factors"])
-def test_factored_statistics_match_the_dense_loop(case):
+    "case", ["one view factors", "both views factor", "neither view factors",
+             "every statistic factors"])
+def test_factored_statistics_match_the_dense_loop(monkeypatch, case):
     """fit_kernel against the same loop run on the dense statistics
     second_moments(Kx, Ky): the final objective within 1e-6 relative, the
     held-out PCC within 0.01 pp, residuals against the dense statistics
     within 1e-8 * k, the same seed reproducing the fit bit for bit, and a
-    fit in which no view factors identical to the dense loop."""
+    fit in which no statistic factors identical to the dense loop."""
     train, val, sx, sy, hp, factors = _factoring_case(case)
+    seen = _loop_statistics(monkeypatch)
     model = r.fit_kernel(train, sx, sy, hp)
     kx, ky = model.gram_x.values, model.gram_y.values
-    assert (kernel._eigenfactor(kx) is not None, kernel._eigenfactor(ky) is not None) == factors
+    assert (isinstance(seen[0].cxx, LowRank), isinstance(seen[0].cyy, LowRank)) == factors
+    assert isinstance(seen[0].cxy, LowRank) == any(factors)
     dense = second_moments(kx.T, ky.T)
     ref = fit_moments(dense, hp)
 
@@ -217,6 +238,64 @@ def test_factored_statistics_match_the_dense_loop(case):
     if not any(factors):
         assert model.report.objective_trace == ref.objective_trace
         assert np.array_equal(model.w_x, ref.pair.u) and np.array_equal(model.w_y, ref.pair.v)
+
+
+def _planted_psd(n, rank, seed):
+    g = np.random.default_rng(seed).standard_normal((n, rank))
+    return g @ g.T
+
+
+def test_pivoted_cholesky_stops_at_the_rounding_level():
+    """On a PSD matrix of planted rank 23 the factor has 23 columns, and the
+    residual a - L L^T is PSD with trace within n eps tr(a)."""
+    n = 300
+    a = _planted_psd(n, 23, seed=0)
+    low = kernel._pivoted_cholesky(a)
+    assert low.shape == (n, 23)
+    resid = a - low @ low.T
+    tol = n * np.finfo(float).eps * np.trace(a)
+    assert np.trace(resid) <= tol
+    assert np.linalg.eigvalsh(resid)[0] >= -tol
+
+
+def test_pivoted_cholesky_returns_none_at_the_cap():
+    """A factor of rank r reads 2 n r values: it is returned while that is
+    below n^2, and None from r = n/2 on, full rank included."""
+    n = 300
+    assert kernel._pivoted_cholesky(_planted_psd(n, 149, seed=1)).shape == (n, 149)
+    assert kernel._pivoted_cholesky(_planted_psd(n, 150, seed=1)) is None
+    assert kernel._pivoted_cholesky(_planted_psd(n, n, seed=2) + np.eye(n)) is None
+
+
+def test_pivoted_cholesky_refuses_a_non_finite_gram():
+    """An inf or NaN anywhere in the Gram, off its pivots too, is an
+    overflow."""
+    for bad in (np.inf, np.nan):
+        a = _planted_psd(60, 5, seed=3)
+        a[10, 20] = a[20, 10] = bad
+        with pytest.raises(NonFiniteIterate, match="Gram overflowed"):
+            kernel._pivoted_cholesky(a)
+
+
+@pytest.mark.parametrize("n", [400, 800])
+def test_kernel_fit_makes_no_n_by_n_eigendecomposition(monkeypatch, n):
+    """No eigh or eigvalsh of an n x n array in a kernel fit.  At n = 800,
+    the benchmark's size, no statistic the loop holds is n x n either."""
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def recording(a, *args, _real=real, **kwargs):
+            shapes.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    seen = _loop_statistics(monkeypatch)
+    train, _ = _sinusoid(n, seed=6)
+    r.fit_kernel(train, *_SINUSOID_SPECS, r.Hyperparams(k=1, max_iters=3, tol=0.0, seed=0))
+    assert shapes and (n, n) not in shapes
+    if n == 800:
+        assert all(isinstance(c, LowRank) for c in (seen[0].cxx, seen[0].cyy, seen[0].cxy))
 
 
 def test_factored_view_holds_no_n_by_n_statistic(monkeypatch):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import rmencca as r
+from rmencca import kernel as kernel_module
 from rmencca import solver
 from rmencca.errors import AllZeroInput, BatchTooLarge, DimensionMismatch, NonFiniteIterate
 from rmencca.regularizers import apply_s_inverse, hq_diagonal, l21_norm, nuclear_norm
@@ -384,8 +385,10 @@ def test_stochastic_restores_full_batch_constraints():
 
 
 def _counting_statistics(monkeypatch):
-    """Make solver.second_moments return statistics that count every matrix
-    product they take part in; returns the running count (a one-item list)."""
+    """Make the statistics a fit runs on count every matrix product they take
+    part in: those solver.second_moments forms, and those fit_kernel hands to
+    the loop, dense or factored; returns the running count (a one-item
+    list)."""
     count = [0]
 
     class Counted(np.ndarray):
@@ -397,14 +400,31 @@ def _counting_statistics(monkeypatch):
                 kwargs["out"] = tuple(np.asarray(a) for a in kwargs["out"])
             return getattr(ufunc, method)(*plain, **kwargs)
 
-    real = solver.second_moments
+    class CountedLowRank(solver.LowRank):
+        def __matmul__(self, m):
+            count[0] += 1
+            return super().__matmul__(m)
 
-    def counted(x, y):
-        s = real(x, y)
-        return solver.SecondMoments(cxx=s.cxx.view(Counted), cyy=s.cyy.view(Counted),
-                                    cxy=s.cxy.view(Counted), n=s.n)
+        def __rmatmul__(self, m):
+            count[0] += 1
+            return super().__rmatmul__(m)
 
-    monkeypatch.setattr(solver, "second_moments", counted)
+        @property
+        def T(self):
+            return CountedLowRank(self.right, self.weights, self.left)
+
+    def counted(s):
+        def wrap(c):
+            if isinstance(c, solver.LowRank):
+                return CountedLowRank(c.left, c.weights, c.right)
+            return c.view(Counted)
+
+        return solver.SecondMoments(cxx=wrap(s.cxx), cyy=wrap(s.cyy), cxy=wrap(s.cxy), n=s.n)
+
+    real, real_fit = solver.second_moments, kernel_module.fit_moments
+    monkeypatch.setattr(solver, "second_moments", lambda x, y: counted(real(x, y)))
+    monkeypatch.setattr(kernel_module, "fit_moments",
+                        lambda stats, *args, **kwargs: real_fit(counted(stats), *args, **kwargs))
     return count
 
 
@@ -452,9 +472,15 @@ def test_loop_reaches_each_phase_by_name(monkeypatch):
     assert counts == {name: 3 * calls for name, calls in per_iteration.items()}
 
 
-def _kernel_problem():
+def _kernel_fits(hp):
+    """(dataset, kernel, hp) for two kernel fits on one planted problem: with
+    a Gaussian kernel every statistic stays dense, with the linear kernel
+    (Grams of rank 6 and 5) every statistic is factored; the linear dual
+    needs a smaller step."""
     ds, _ = planted(120, 6, 5, (0.8, 0.5), 0.2, seed=5)
-    return centered(ds), r.KernelSpec(kind=r.KernelKind.GAUSSIAN, width=3.0)
+    ds = centered(ds)
+    return [(ds, r.KernelSpec(kind=r.KernelKind.GAUSSIAN, width=3.0), hp),
+            (ds, r.KernelSpec(kind=r.KernelKind.LINEAR), replace(hp, eta=0.0005))]
 
 
 @pytest.mark.parametrize("kernel", [False, True])
@@ -463,7 +489,7 @@ def test_full_batch_iteration_forms_each_product_once(monkeypatch, kernel, lambd
     """A full-batch iteration makes 4 products with the statistics (n x n in
     a kernel fit), one more for each whitening pass that refines (6 when
     both do), and at most one eigh of the 2k x 2k pair Gram: one when
-    lambda2 > 0, none otherwise, and no eigvalsh."""
+    lambda2 > 0, none otherwise, and no eigvalsh, in the loop or before it."""
     k = 2
     products = _counting_statistics(monkeypatch)
     factors = _counting_factors(monkeypatch)
@@ -485,25 +511,29 @@ def test_full_batch_iteration_forms_each_product_once(monkeypatch, kernel, lambd
     def record(i, pair):
         seen.append((products[0], gram_eighs[0], factors[0]))
 
+    def check():
+        assert len(seen) == 12 and eigvalsh_calls[0] == 0
+        per_iteration = [tuple(bi - ai for ai, bi in zip(a, b)) for a, b in zip(seen, seen[1:])]
+        # two whitening passes per iteration; each factor beyond them is a
+        # refinement pass
+        refinements = [f - 2 for _, _, f in per_iteration]
+        assert all(0 <= extra <= 2 for extra in refinements)
+        assert [p for p, _, _ in per_iteration] == [4 + extra for extra in refinements]
+        assert {e for _, e, _ in per_iteration} == {1 if lambda2 else 0}
+        # the skip is exercised on every problem
+        assert 0 in refinements
+
     hp = r.Hyperparams(k=k, lambda2=lambda2, max_iters=12, tol=0.0, seed=1)
     if kernel:
-        ds, spec = _kernel_problem()
-        r.fit_kernel(ds, spec, spec, hp, on_iteration=record)
+        # dense and factored statistics alike
+        for ds, spec, fit_hp in _kernel_fits(hp):
+            seen.clear()
+            r.fit_kernel(ds, spec, spec, fit_hp, on_iteration=record)
+            check()
     else:
         ds, _ = planted(200, 7, 6, (0.8, 0.5), 0.2, seed=9)
         r.fit_full(centered(ds), hp, on_iteration=record)
-    # a kernel fit probes its second Gram's eigenvalues once, before the
-    # loop, to decide whether it factors; no iteration calls eigvalsh
-    assert len(seen) == 12 and eigvalsh_calls[0] == (1 if kernel else 0)
-    per_iteration = [tuple(bi - ai for ai, bi in zip(a, b)) for a, b in zip(seen, seen[1:])]
-    # two whitening passes per iteration; each factor beyond them is a
-    # refinement pass
-    refinements = [f - 2 for _, _, f in per_iteration]
-    assert all(0 <= extra <= 2 for extra in refinements)
-    assert [p for p, _, _ in per_iteration] == [4 + extra for extra in refinements]
-    assert {e for _, e, _ in per_iteration} == {1 if lambda2 else 0}
-    # the skip is exercised on every problem
-    assert 0 in refinements
+        check()
 
 
 def test_whitening_refines_when_the_bound_asks(monkeypatch):
@@ -537,13 +567,19 @@ def test_whitening_refines_when_the_bound_asks(monkeypatch):
 @pytest.mark.parametrize("lambda2", [0.0, 0.05])
 def test_carried_pair_moments_match_fresh_ones(monkeypatch, kernel, penalty, lambda2):
     """The pair moments a full-batch iteration hands to the next one's
-    context equal pair_moments(stats, pair) formed afresh, to 1e-10 relative."""
+    context equal pair_moments(stats, pair) formed afresh, to 1e-10 relative,
+    on the statistics the loop runs on (dense or factored in a kernel fit)."""
     stats = []
-    real_stats, real_context = solver.second_moments, solver.build_context
+    real_stats, real_fit, real_context = (
+        solver.second_moments, kernel_module.fit_moments, solver.build_context)
 
     def keep_stats(x, y):
         stats.append(real_stats(x, y))
         return stats[-1]
+
+    def keep_fit_stats(full, *args, **kwargs):
+        stats.append(full)
+        return real_fit(full, *args, **kwargs)
 
     worst, checked = [0.0], [0]
 
@@ -555,16 +591,18 @@ def test_carried_pair_moments_match_fresh_ones(monkeypatch, kernel, penalty, lam
             worst[0] = max(worst[0], np.linalg.norm(got - want) / np.linalg.norm(want))
         return real_context(pm, hp)
 
-    monkeypatch.setattr(solver, "second_moments", keep_stats)
     monkeypatch.setattr(solver, "build_context", check_context)
     hp = r.Hyperparams(k=2, lambda2=lambda2, penalty=penalty, max_iters=40, tol=0.0, seed=2)
     if kernel:
-        ds, spec = _kernel_problem()
-        r.fit_kernel(ds, spec, spec, hp)
+        monkeypatch.setattr(kernel_module, "fit_moments", keep_fit_stats)
+        for ds, spec, fit_hp in _kernel_fits(hp):
+            r.fit_kernel(ds, spec, spec, fit_hp)
+        assert len(stats) == 2 and checked[0] == 80
     else:
+        monkeypatch.setattr(solver, "second_moments", keep_stats)
         ds, _ = planted(200, 7, 6, (0.8, 0.5), 0.2, seed=9)
         r.fit_full(centered(ds), hp)
-    assert len(stats) == 1 and checked[0] == 40
+        assert len(stats) == 1 and checked[0] == 40
     assert worst[0] <= 1e-10
 
 

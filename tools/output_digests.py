@@ -11,7 +11,11 @@ branch of the gradient runs), the rmen `train` again with its fit flags in a
 BLAS thread and rmencca imported from DIR (default: the src/ beside this
 script).  Prints one "sha256  name" line per output file.
 JSON reports are hashed without their wall_seconds fields, which change
-from run to run; every other file is hashed as written.  Then runs each of
+from run to run; every other file is hashed as written.  For each kernel
+fit (the kernel `train` runs and the kernel row of `compare`) it also prints
+one "objective pcc  values-name" line, its final objective and held-out
+mean PCC (percent) to 17 significant digits, so that two source trees'
+outputs show how far a value moved, not only that its bytes changed.  Then runs each of
 FAILURES, commands that must fail, on inputs made from those files, and
 prints one "sha256  fail-name" line per command, the digest of its exit code
 and stderr, in which DIR reads "<src>".  Running it against two source trees
@@ -73,6 +77,9 @@ FAILURES = {
     "mean-overflow": ["train", "--x", "xhuge.csv", "--y", "y.csv", *FIT],
     "closed-form-cov-overflow": ["train", "--x", "x1e160.csv", "--y", "y.csv", *FIT,
                                  "--variant", "closed-form"],
+    # the linear Gram of x1e160.csv overflows: exit 18
+    "kernel-gram-overflow": ["train", "--x", "x1e160.csv", "--y", "y.csv", *FIT,
+                             "--variant", "kernel-rmen", *KERNELS["linear"]],
 }
 # a model file's magic, version, kind byte and hyperparameter block
 MODEL_HEADER = 8 + 4 + 1 + struct.calcsize("<IdddddIdqqB")
@@ -143,6 +150,11 @@ def _digest(path: str) -> str:
     return hashlib.sha256(raw).hexdigest()
 
 
+def _values(report: dict) -> str:
+    """A fit's final objective and held-out mean PCC, to 17 digits."""
+    return f"{report['objective_trace'][-1]:.17g} {report['mean_pcc_percent']:.17g}"
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=os.path.join(os.path.dirname(HERE), "src"))
@@ -167,6 +179,14 @@ def main() -> None:
              "--out", "compare.json")
         for name in sorted(os.listdir(tmp)):
             print(f"{_digest(os.path.join(tmp, name))}  {name}")
+        for name in RUNS:
+            if name.startswith("kernel"):
+                with open(os.path.join(tmp, f"train-{name}.json"), encoding="utf-8") as fh:
+                    print(f"{_values(json.load(fh))}  values-{name}")
+        with open(os.path.join(tmp, "compare.json"), encoding="utf-8") as fh:
+            for row in json.load(fh)["rows"]:
+                if row["variant"] == "kernel-rmen":
+                    print(f"{_values(row)}  values-compare-kernel-rmen")
         _failure_inputs(tmp)
         for name, argv in FAILURES.items():
             done = _run(src, tmp, *argv, check=False)
