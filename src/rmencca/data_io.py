@@ -31,12 +31,12 @@ from .errors import (
     TruncatedFile,
     VersionMismatch,
 )
-from .kernel import KernelKind, KernelModel, KernelSpec, build_gram
+from .kernel import GramMatrix, KernelKind, KernelModel, KernelSpec
 from .kernel import gram_gaussian, gram_linear  # noqa: F401  see below
 
-# gram_gaussian and gram_linear are not called here (load_model rebuilds its
-# Grams through kernel.build_gram); they stay bound because tracing tools such
-# as perfbench/spans.py wrap this module's Gram bindings by name.
+# gram_gaussian and gram_linear are not called here (load_model forms no
+# Gram); they stay bound because tracing tools such as perfbench/spans.py wrap
+# this module's Gram bindings by name.
 
 MODEL_MAGIC = b"RMENCCA\x00"
 MODEL_VERSION = 1
@@ -449,8 +449,8 @@ def load_model(path: str) -> ModelFile:
     _expect_columns(path, hp.k, ("W_X", w_x), ("W_Y", w_y))
     km = KernelModel(
         w_x=w_x, w_y=w_y,
-        gram_x=build_gram(train_x, spec_x),
-        gram_y=build_gram(train_y, spec_y),
+        gram_x=GramMatrix(spec_x, train_x),
+        gram_y=GramMatrix(spec_y, train_y),
         report=None,
     )
     return ModelFile(

@@ -1,9 +1,11 @@
-"""Kernelized solver: Gram construction and the dual reduction.
+"""Kernelized solver: kernels over training points and the dual reduction.
 
-The kernel problem is the same optimization with the two n x n Gram
-matrices standing in for the views and dual matrices (W_X, W_Y) standing in
-for (U, V).  fit_kernel forms the statistics Kx Kx / n, Ky Ky / n and
-Kx Ky / n itself and runs the solver's loop (solver.fit_moments) on them.
+A GramMatrix is a kernel over training points; its n x n values are formed
+on each read and never kept.  The kernel problem is the same optimization
+with the two n x n Grams standing in for the views and dual matrices
+(W_X, W_Y) standing in for (U, V).  fit_kernel forms the statistics
+Kx Kx / n, Ky Ky / n and Kx Ky / n, drops the Grams and runs the solver's
+loop (solver.fit_moments) on them.
 Each statistic is kept at its own rounding level as a pivoted-Cholesky
 factor (solver.LowRank, 2 n r values read per product instead of n^2) while
 its rank r stays below n/2, and dense otherwise; the cross statistic goes
@@ -68,18 +70,35 @@ class KernelSpec:
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """n x n kernel matrix over the training points, which are retained for
-    test-time kernel evaluation."""
+    """The kernel `spec` over `train_points`; the n x n Gram is formed on
+    each read of `values` and never stored.  Refuses more training points
+    than an n x n Gram is allowed for."""
 
-    values: np.ndarray
     spec: KernelSpec
     train_points: ViewMatrix
+
+    def __post_init__(self) -> None:
+        n = self.train_points.n
+        if n > _MAX_KERNEL_SAMPLES:
+            raise TooLargeForKernel(
+                f"n={n} would materialize an n x n Gram; limit is {_MAX_KERNEL_SAMPLES}"
+            )
+
+    @property
+    def values(self) -> np.ndarray:
+        """The exactly symmetric n x n Gram, a new array on every read."""
+        values = _evaluate(self.spec, self.train_points, self.train_points)
+        values += values.T
+        values *= 0.5
+        if self.spec.kind is KernelKind.GAUSSIAN:
+            np.fill_diagonal(values, 1.0)
+        return values
 
 
 @dataclass(frozen=True, eq=False)
 class KernelModel:
-    """Dual canonical matrices with the Grams they were trained on.  report
-    is None for models restored from disk."""
+    """Dual canonical matrices with each view's kernel and training points.
+    report is None for models restored from disk."""
 
     w_x: np.ndarray
     w_y: np.ndarray
@@ -109,21 +128,12 @@ def _evaluate(spec: KernelSpec, a: ViewMatrix, b: ViewMatrix) -> np.ndarray:
 
 def gram_gaussian(view: ViewMatrix, width: float) -> GramMatrix:
     """values[i][j] = exp(-||x_i - x_j||^2 / (2 width^2))."""
-    spec = KernelSpec(kind=KernelKind.GAUSSIAN, width=width)
-    values = _evaluate(spec, view, view)
-    values += values.T
-    values *= 0.5
-    np.fill_diagonal(values, 1.0)
-    return GramMatrix(values=values, spec=spec, train_points=view)
+    return GramMatrix(KernelSpec(kind=KernelKind.GAUSSIAN, width=width), view)
 
 
 def gram_linear(view: ViewMatrix) -> GramMatrix:
     """values = X^T X."""
-    spec = KernelSpec(kind=KernelKind.LINEAR)
-    values = _evaluate(spec, view, view)
-    values += values.T
-    values *= 0.5
-    return GramMatrix(values=values, spec=spec, train_points=view)
+    return GramMatrix(KernelSpec(kind=KernelKind.LINEAR), view)
 
 
 def cross_gram(gram: GramMatrix, test: ViewMatrix) -> np.ndarray:
@@ -137,18 +147,6 @@ def cross_gram(gram: GramMatrix, test: ViewMatrix) -> np.ndarray:
     return _evaluate(gram.spec, test, train)
 
 
-def build_gram(view: ViewMatrix, spec: KernelSpec) -> GramMatrix:
-    """The Gram of `view` under `spec`, for fitting and for loading a model
-    alike; refuses more samples than an n x n Gram is allowed for."""
-    if view.n > _MAX_KERNEL_SAMPLES:
-        raise TooLargeForKernel(
-            f"n={view.n} would materialize an n x n Gram; limit is {_MAX_KERNEL_SAMPLES}"
-        )
-    if spec.kind is KernelKind.GAUSSIAN:
-        return gram_gaussian(view, spec.width)
-    return gram_linear(view)
-
-
 def fit_kernel(
     ds: TwoViewDataset,
     kind_x: KernelSpec,
@@ -156,9 +154,9 @@ def fit_kernel(
     hp: Hyperparams,
     on_iteration=None,
 ) -> KernelModel:
-    """Build both Grams, form the statistics of the dual problem from them
-    and run the full-batch iteration on those statistics.  Refuses n < 2,
-    a set hp.batch_size (kernel fits are full-batch) and k > n."""
+    """Form both Grams and the dual problem's statistics from them, drop the
+    Grams and run the full-batch iteration on the statistics.  Refuses n < 2,
+    a set hp.batch_size (kernel fits are full-batch), k > n and n > 20000."""
     n = ds.n
     if n < 2:
         raise DegenerateInput(f"kernel fit needs at least 2 samples, got {n}")
@@ -167,13 +165,15 @@ def fit_kernel(
     if hp.k > n:
         raise RankBudgetTooLarge(f"k={hp.k} exceeds the sample count n={n}")
     start = time.perf_counter()
-    # Kx is factored before Ky is built, so fewer n x n arrays live together
-    gx = build_gram(ds.x, kind_x)
-    fx = _gram_factor(gx.values)
-    gy = build_gram(ds.y, kind_y)
-    fy = _gram_factor(gy.values)
+    gx, gy = GramMatrix(kind_x, ds.x), GramMatrix(kind_y, ds.y)
+    # Kx is factored before Ky is formed, so fewer n x n arrays live together
+    kx = gx.values
+    fx = _gram_factor(kx)
+    ky = gy.values
+    fy = _gram_factor(ky)
     with np.errstate(over="ignore", invalid="ignore"):
-        stats = _statistics(gx.values, fx, gy.values, fy)
+        stats = _statistics(kx, fx, ky, fy)
+    del kx, fx, ky, fy  # the loop holds the statistics alone
     report = fit_moments(stats.require_finite(), hp, on_iteration, start=start)
     return KernelModel(
         w_x=report.pair.u,

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -540,7 +541,7 @@ _OVERSIZED_KERNEL_SCRIPT = """
 import resource
 import sys
 
-# an address-space cap below one 20001 x 20001 Gram (3.2 GB): a loader that
+# an address-space cap below one 20000 x 20000 Gram (3.2 GB): a loader that
 # tried to build it fails at once instead of paging
 resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
 
@@ -558,22 +559,11 @@ print(main(["eval", "--model", model, "--x", x_path, "--y", y_path]))
 
 
 def test_load_model_refuses_more_kernel_samples_than_a_fit_allows(tmp_path):
-    """A kernel model file of 20001 one-feature training points is small,
-    but its Grams would not be: load_model applies fit_kernel's sample limit
-    before building them (TooLargeForKernel, eval exit 22).  The check runs
-    in a child process under an address-space cap."""
-    n = 20001
-    points = r.ViewMatrix.of(np.linspace(-1.0, 1.0, n)[None, :])
-    grams = [r.GramMatrix(values=np.empty((0, 0)), spec=spec, train_points=points)
-             for spec in (r.KernelSpec(kind=r.KernelKind.GAUSSIAN, width=1.0),
-                          r.KernelSpec(kind=r.KernelKind.LINEAR))]
-    km = r.KernelModel(w_x=np.ones((n, 1)), w_y=np.ones((n, 1)),
-                       gram_x=grams[0], gram_y=grams[1], report=None)
-    model = tmp_path / "large_kernel.rmen"
-    r.save_model(r.ModelFile(version=r.MODEL_VERSION, hp=r.Hyperparams(k=1),
-                             means_x=np.zeros(1), means_y=np.zeros(1), kernel=km),
-                 str(model))
-    assert model.stat().st_size < 700_000
+    """A kernel model file of 20000 or 20001 one-feature training points is
+    small, but its Grams would not be.  load_model forms no Gram, so under an
+    address-space cap the 20000-point model loads and eval exits 0, and it
+    applies fit_kernel's sample limit to the 20001-point one
+    (TooLargeForKernel, eval exit 22).  The checks run in a child process."""
     x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
     x_path.write_text("0\n1\n2\n")
     y_path.write_text("1\n0\n2\n")
@@ -584,11 +574,26 @@ def test_load_model_refuses_more_kernel_samples_than_a_fit_allows(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
-    out = subprocess.run(
-        [sys.executable, "-c", _OVERSIZED_KERNEL_SCRIPT, str(model), str(x_path), str(y_path)],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
-    assert out.stdout.split() == ["refused", "22"], out.stderr
+    for n, want in ((20000, ["loaded", "0"]), (20001, ["refused", "22"])):
+        points = r.ViewMatrix.of(np.linspace(-1.0, 1.0, n)[None, :])
+        # stand-ins with what save_model reads: no GramMatrix of 20001 points exists
+        grams = [SimpleNamespace(spec=spec, train_points=points)
+                 for spec in (r.KernelSpec(kind=r.KernelKind.GAUSSIAN, width=1.0),
+                              r.KernelSpec(kind=r.KernelKind.LINEAR))]
+        km = r.KernelModel(w_x=np.ones((n, 1)), w_y=np.ones((n, 1)),
+                           gram_x=grams[0], gram_y=grams[1], report=None)
+        model = tmp_path / f"kernel_{n}.rmen"
+        r.save_model(r.ModelFile(version=r.MODEL_VERSION, hp=r.Hyperparams(k=1),
+                                 means_x=np.zeros(1), means_y=np.zeros(1), kernel=km),
+                     str(model))
+        assert model.stat().st_size < 700_000
+        out = subprocess.run(
+            [sys.executable, "-c", _OVERSIZED_KERNEL_SCRIPT, str(model), str(x_path),
+             str(y_path)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        words = out.stdout.split()  # eval's report, if any, comes in between
+        assert words[:1] + words[-1:] == want, (n, out.stderr)
 
 
 def test_save_model_requires_exactly_one_payload(tmp_path):
@@ -768,6 +773,13 @@ _SHAPE_CASES = {
 }
 
 
+def _forbid_grams(monkeypatch):
+    def no_gram(self):
+        raise AssertionError("a Gram was formed")
+
+    monkeypatch.setattr(r.GramMatrix, "values", property(no_gram))
+
+
 @pytest.mark.parametrize("case", sorted(_SHAPE_CASES))
 def test_model_shapes_must_agree_before_any_gram_is_built(tmp_path, capsys, monkeypatch, case):
     """A model file whose canonical matrices disagree with each other or
@@ -780,12 +792,20 @@ def test_model_shapes_must_agree_before_any_gram_is_built(tmp_path, capsys, monk
     p = tmp_path / "model.rmen"
     r.save_model(build(linear, kernel), str(p))
 
-    def no_gram(*args):
-        raise AssertionError("a Gram was built for a corrupt model")
-
-    monkeypatch.setattr(data_io, "build_gram", no_gram)
+    _forbid_grams(monkeypatch)
     with pytest.raises(CorruptFile, match=message):
         r.load_model(str(p))
     capsys.readouterr()
     assert main(["eval", "--model", str(p), "--x", x_path, "--y", y_path]) == 10
     assert message in capsys.readouterr().err
+
+
+def test_kernel_model_loads_and_evaluates_without_forming_a_gram(tmp_path, monkeypatch):
+    """Projection reads a kernel model's specs, training points and duals:
+    a valid model loads and eval succeeds with every Gram read failing."""
+    x_path, y_path, _, kernel = _shape_case_models(tmp_path)
+    p = tmp_path / "model.rmen"
+    r.save_model(kernel, str(p))
+    _forbid_grams(monkeypatch)
+    assert r.load_model(str(p)).kernel.w_x.shape == kernel.kernel.w_x.shape
+    assert main(["eval", "--model", str(p), "--x", x_path, "--y", y_path]) == 0

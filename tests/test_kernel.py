@@ -337,6 +337,29 @@ def test_fit_kernel_peak_memory_with_one_factored_view():
     assert peak / (8.0 * train.n * train.n) < 4.5
 
 
+def test_kernel_model_and_loop_hold_no_gram():
+    """Traced numpy memory, in units of one n x n array: the model fit_kernel
+    returns holds less than one, and the loop runs with less than two alive,
+    the dense Cyy of this data being the only n x n statistic.  Keeping both
+    Grams beside it would hold three."""
+    train, _ = _sinusoid(400, seed=6)
+    hp = r.Hyperparams(k=1, max_iters=5, tol=0.0, seed=0)
+    loop = []
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model = r.fit_kernel(train, *_SINUSOID_SPECS, hp,
+                             on_iteration=lambda i, pair: loop.append(
+                                 tracemalloc.get_traced_memory()[0]))
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    nn = 8.0 * train.n * train.n
+    assert model.report.iterations_run == hp.max_iters == len(loop)
+    assert kept / nn < 1.0
+    assert (max(loop) - base) / nn < 2.0
+
+
 def test_kernel_fit_keeps_dual_constraints():
     ds, _ = planted(120, 6, 5, (0.8, 0.5), 0.2, seed=5)
     ds = centered(ds)
