@@ -6,16 +6,20 @@ with the two n x n Grams standing in for the views and dual matrices
 (W_X, W_Y) standing in for (U, V).  fit_kernel forms the statistics
 Kx Kx / n, Ky Ky / n and Kx Ky / n, drops the Grams and runs the solver's
 loop (solver.fit_moments) on them.
-Each statistic is kept at its own rounding level as a pivoted-Cholesky
-factor (solver.LowRank, 2 n r values read per product instead of n^2) while
-its rank r stays below n/2, and dense otherwise; the cross statistic goes
-through the Gram factor of the view of smaller rank.  No n x n
+Each statistic is kept at its own rounding level as the plain product of
+two n x r factors (solver.LowRank, 2 n r values read per product instead of
+n^2, with no middle term) while its rank r stays below n/2, and dense
+otherwise: a symmetric statistic as F F^T with sqrt(s / n) folded into F,
+the cross statistic as the two factors of its own truncated SVD, formed
+from the Gram factor of the view of smaller rank.  No n x n
 eigendecomposition runs, and a fit in which no statistic factors is the
 dense one bit for bit.  Factored statistics differ from the dense ones at
 rounding level, so trajectories stay deterministic for a seed and BLAS
 thread count but move around the 7th significant digit of the objective.
 Grams are not centered in feature space; input views are centered in input
-space before they get here.
+space before they get here.  project_kernel forms each test-by-training
+cross-Gram in row blocks of a fixed byte size, so no t x n array is held
+however many test samples there are.
 """
 from __future__ import annotations
 
@@ -43,6 +47,8 @@ from .solver import LowRank, SecondMoments, fit_full, fit_moments  # noqa: F401
 _MAX_KERNEL_SAMPLES = 20000
 _EPS = float(np.finfo(np.float64).eps)
 _OVERFLOW = "Gram overflowed double precision; rescale the inputs"
+# project_kernel forms a cross-Gram in row blocks of at most this many bytes
+_CROSS_BLOCK_BYTES = 32 << 20
 
 
 class KernelKind(str, enum.Enum):
@@ -86,10 +92,9 @@ class GramMatrix:
 
     @property
     def values(self) -> np.ndarray:
-        """The exactly symmetric n x n Gram, a new array on every read."""
+        """The n x n Gram, a new array on every read.  It is exactly
+        symmetric because _evaluate forms X^T X as a symmetric product."""
         values = _evaluate(self.spec, self.train_points, self.train_points)
-        values += values.T
-        values *= 0.5
         if self.spec.kind is KernelKind.GAUSSIAN:
             np.fill_diagonal(values, 1.0)
         return values
@@ -223,10 +228,11 @@ def _gram_factor(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 def _statistics(kx, fx, ky, fy) -> SecondMoments:
     """Cxx = Kx Kx / n, Cyy = Ky Ky / n and Cxy = Kx Ky / n.  A view whose
-    Gram factors as (B, s) has Cxx = B diag(s / n) B^T over the columns whose
-    Cxx eigenvalue s^2 / n is above n eps times the largest, and the Gram of
-    smaller rank gives Cxy = B (Ky B)^T / n; any other statistic is formed
-    as second_moments forms it, then kept as its pivoted-Cholesky L L^T."""
+    Gram factors as (B, s) has Cxx = F F^T for F = B diag(s / n)^(1/2) over
+    the columns whose Cxx eigenvalue s^2 / n is above n eps times the
+    largest.  The Gram of smaller rank gives Cxy through _cross_factor, at
+    its own rounding level.  Any other statistic is formed as second_moments
+    forms it, then kept as its pivoted-Cholesky L L^T."""
     n = kx.shape[0]
 
     def moment(k, f):
@@ -234,27 +240,60 @@ def _statistics(kx, fx, ky, fy) -> SecondMoments:
             c = k.T @ k
             c /= n
             low = _pivoted_cholesky(c)
-            return c if low is None else LowRank(low, np.ones(low.shape[1]), low)
+            return c if low is None else LowRank(low, low)
         b, s = f
         keep = s * s > n * _EPS * s.max(initial=0.0) ** 2
-        kept = b[:, keep]
-        return LowRank(kept, s[keep] / n, kept)
+        root = b[:, keep] * np.sqrt(s[keep] / n)
+        return LowRank(root, root)
 
+    # Cxy last: its temporaries then do not add to the dense Cyy's peak
+    cxx, cyy = moment(kx, fx), moment(ky, fy)
     if fx is None and fy is None:
         cxy = kx.T @ ky
         cxy /= n
     elif fy is None or (fx is not None and fx[1].size <= fy[1].size):
-        cxy = LowRank(fx[0], np.full(fx[1].size, 1.0 / n), ky @ fx[0])
+        cxy = _cross_factor(fx, ky @ fx[0], n)
     else:
-        cxy = LowRank(kx @ fy[0], np.full(fy[1].size, 1.0 / n), fy[0])
-    return SecondMoments(cxx=moment(kx, fx), cyy=moment(ky, fy), cxy=cxy, n=n)
+        cxy = _cross_factor(fy, kx @ fy[0], n).T
+    return SecondMoments(cxx=cxx, cyy=cyy, cxy=cxy, n=n)
+
+
+def _cross_factor(f, m: np.ndarray, n: int) -> LowRank:
+    """B M^T / n for a Gram factor f = (B, s) and M = K B, with K the other
+    view's Gram, at its own rounding level.  B diag(s)^(-1/2) and
+    diag(s)^(1/2) are B's QR factors, since B^T B = diag(s); with M = Qm Rm,
+    the SVD P diag(sigma) Q^T of the r x r core diag(s)^(1/2) Rm^T / n keeps
+    the sigma above n eps max(sigma), so the factors are
+    B diag(s)^(-1/2) P sigma^(1/2) and Qm Q sigma^(1/2)."""
+    b, s = f
+    root_s = np.sqrt(s)
+    qm, rm = np.linalg.qr(m)
+    del m  # the caller's temporary, freed before the factors are formed
+    core = root_s[:, None] * rm.T
+    core /= n
+    p, sigma, qt = np.linalg.svd(core)
+    keep = sigma > n * _EPS * sigma.max(initial=0.0)
+    root = np.sqrt(sigma[keep])
+    return LowRank(b @ (p[:, keep] / root_s[:, None] * root), qm @ (qt[keep].T * root))
 
 
 def project_kernel(
     model: KernelModel, test_x: ViewMatrix, test_y: ViewMatrix
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(K_test,X W_X, K_test,Y W_Y) for test views in input space."""
+    """(K_test,X W_X, K_test,Y W_Y) for test views in input space.  Each
+    t x n cross-Gram is formed in row blocks of at most _CROSS_BLOCK_BYTES,
+    each multiplied into W as it is formed, so memory does not grow with t."""
     return (
-        cross_gram(model.gram_x, test_x) @ model.w_x,
-        cross_gram(model.gram_y, test_y) @ model.w_y,
+        _project(model.gram_x, test_x, model.w_x),
+        _project(model.gram_y, test_y, model.w_y),
     )
+
+
+def _project(gram: GramMatrix, test: ViewMatrix, w: np.ndarray) -> np.ndarray:
+    """cross_gram(gram, test) @ w, a block of test samples at a time."""
+    rows = max(1, _CROSS_BLOCK_BYTES // (8 * gram.train_points.n))
+    out = np.empty((test.n, w.shape[1]))
+    for i in range(0, test.n, rows):
+        block = ViewMatrix.of(test.data[:, i:i + rows])
+        np.matmul(cross_gram(gram, block), w, out=out[i:i + rows])
+    return out

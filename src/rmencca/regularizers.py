@@ -3,18 +3,21 @@
 l21 norm, its half-quadratic surrogate, the nuclear norm, and the factored
 S-inverse operator representing (M + zeta I)^(-1/2) for M = Z Z^T,
 Z = [proj_x proj_y].  M has rank at most 2k, so the operator is factored from
-an eigh of the 2k x 2k Gram Z^T Z.  It has one mode: it is built from an
-image T Z of Z under a linear map T (the solver uses T = X and T = Y, the
-images coming from the pair moments) together with the Gram's eigh, so that
-T S^-1 T^T is applied without ever forming an n-length array; one eigh serves
-both images and the nuclear norm.  The n-space operator is the case T = I.
+an eigh of the 2k x 2k Gram Z^T Z into one 2k x 2k core.  It is applied to
+an image T Z of Z under a linear map T (the solver uses T = X and T = Y, the
+images coming from the pair moments), so that T S^-1 T^T is applied without
+ever forming an n-length array; one eigh and one core serve both images,
+and the eigh the nuclear norm too.  The n-space operator is the case T = I,
+whose image is Z itself.
 
 zeta reaches these functions only as Hyperparams.zeta, which is checked
 finite and positive there, so it is not checked again here.
 
 The half-quadratic surrogate puts Tr(M^T diag(w) M) in place of ||M||_21, with
 the weight vector w_i = 1 / (2 sqrt(||row_i||^2 + zeta)) frozen at the
-current iterate (hq_diagonal): a plain array, one weight per row of M.
+current iterate (hq_diagonal): a plain array, one weight per row of M.  Both
+it and l21_norm read M only through its squared row norms, which a caller
+that already holds them passes instead of forming them again.
 """
 from __future__ import annotations
 
@@ -31,26 +34,32 @@ _RANK_CUTOFF = 1e-12
 
 @dataclass(eq=False, slots=True)
 class SInverseOperator:
-    """Factored T S^-1 T^T for a linear map T, S^-1 = (M + zeta I)^(-1/2).
+    """Factored T S^-1 T^T for any linear map T, S^-1 = (M + zeta I)^(-1/2).
 
-    With Phi the r kept left singular vectors of Z,
+    With Phi the r kept left singular vectors of Z, Phi = Z basis for the
+    2k x r basis = W lam^(-1/2) (W, lam the kept eigenpairs of Z^T Z), and
     S^-1 = complement_scale I + Phi diag(scaled_eigs - complement_scale) Phi^T,
     where complement_scale = zeta^(-1/2) scales everything orthogonal to
-    span(Phi).  basis holds T Phi (n x r, n the row count of the space the
-    operator acts on): Phi itself when T is the identity.  The loop builds
-    two per iteration, so it is slotted rather than frozen (cheaper to
-    build); treat it as read-only.
+    span(Phi).  So T S^-1 T^T = complement_scale T T^T + (T Z) core (T Z)^T
+    with the 2k x 2k core = basis diag(scaled_eigs - complement_scale)
+    basis^T, and one operator serves every T.  The loop builds one per
+    iteration, so it is slotted rather than frozen (cheaper to build); treat
+    it as read-only.
     """
 
     basis: np.ndarray
     scaled_eigs: np.ndarray
     complement_scale: float
+    core: np.ndarray
 
 
-def l21_norm(m: np.ndarray) -> float:
+def l21_norm(m: np.ndarray, row_sq: np.ndarray | None = None) -> float:
     """Sum of Euclidean row norms of a float array (the same bits as summing
-    np.linalg.norm(m, axis=1), without its dispatch)."""
-    return float(np.sqrt((m * m).sum(axis=1)).sum())
+    np.linalg.norm(m, axis=1), without its dispatch).  row_sq, when given,
+    is m's squared row norms (m * m).sum(axis=1), and m is not read."""
+    if row_sq is None:
+        row_sq = (m * m).sum(axis=1)
+    return float(np.sqrt(row_sq).sum())
 
 
 def nuclear_norm(m) -> float:
@@ -73,40 +82,40 @@ def _kept(lam: np.ndarray) -> np.ndarray:
     return np.zeros(lam.shape, dtype=bool)
 
 
-def hq_diagonal(m: np.ndarray, zeta: float) -> np.ndarray:
+def hq_diagonal(m: np.ndarray, zeta: float, row_sq: np.ndarray | None = None) -> np.ndarray:
     """Half-quadratic weights for the rows of a float array m, one per row.
 
     weights[i] = 1 / (2 sqrt(||row_i||^2 + zeta)); the smoothing keeps the
-    weight finite for zero rows (bounded by 1 / (2 sqrt(zeta))).
+    weight finite for zero rows (bounded by 1 / (2 sqrt(zeta))).  row_sq,
+    when given, is m's squared row norms, and m is not read.
     """
-    sq = (m * m).sum(axis=1)
-    return 1.0 / (2.0 * np.sqrt(sq + zeta))
+    if row_sq is None:
+        row_sq = (m * m).sum(axis=1)
+    return 1.0 / (2.0 * np.sqrt(row_sq + zeta))
 
 
-def build_s_inverse(proj_x, proj_y, zeta: float, spectrum) -> SInverseOperator:
-    """Factor the operator from the two blocks of an image T Z = [proj_x proj_y].
-
-    `spectrum` = (lam, W) is the eigh of the 2k x 2k Gram Z^T Z; it yields
-    the nonzero spectrum of M (the eigenvalues lam) and
-    Phi = Z W lam^(-1/2), so the basis is T Phi.
-    """
-    concat = np.concatenate([proj_x, proj_y], axis=1)
+def build_s_inverse(zeta: float, spectrum) -> SInverseOperator:
+    """Factor the operator from `spectrum` = (lam, W), the eigh of the
+    2k x 2k Gram Z^T Z: the nonzero spectrum of M is lam, and
+    Phi = Z W lam^(-1/2)."""
     lam, w = spectrum
     keep = _kept(lam)
     lam = lam[keep]
+    basis = w[:, keep] / np.sqrt(lam)
+    scaled = 1.0 / np.sqrt(lam + zeta)
+    complement = zeta ** -0.5
     return SInverseOperator(
-        basis=concat @ (w[:, keep] / np.sqrt(lam)),
-        scaled_eigs=1.0 / np.sqrt(lam + zeta),
-        complement_scale=zeta ** -0.5,
+        basis=basis,
+        scaled_eigs=scaled,
+        complement_scale=complement,
+        core=(basis * (scaled - complement)) @ basis.T,
     )
 
 
-def apply_s_inverse(op: SInverseOperator, m, outer) -> np.ndarray:
-    """T S^-1 T^T m for a block m of the image space, in O(n c r) for n x c.
+def apply_s_inverse(op: SInverseOperator, image, m, outer) -> np.ndarray:
+    """T S^-1 T^T m for a block m of the image space, in O(n c k) for n x c.
 
-    `outer` is T T^T m (m itself when T is the identity).
+    `image` is T Z (Z itself when T is the identity) and `outer` is T T^T m
+    (m itself when T is the identity).
     """
-    coeff = op.basis.T @ m
-    return op.complement_scale * outer + op.basis @ (
-        (op.scaled_eigs - op.complement_scale)[:, None] * coeff
-    )
+    return op.complement_scale * outer + image @ (op.core @ (image.T @ m))

@@ -15,8 +15,10 @@ iteration, given the current true pair, its pair moments (Cxx U, Cxy V,
 Cyx U, Cyy V and the Gram of Z = [X^T U  Y^T V]) and the carried Cxx U~,
 Cyy V~:
 
-  1. factor the S-inverse operator from the eigh of the pair Gram, and build
-     the half-quadratic diagonals P (from U) and Q (from V) (build_context)
+  1. build the one 2k x 2k S-inverse core both views share from the eigh of
+     the pair Gram, and the half-quadratic diagonals P (from U) and Q (from
+     V) from the pair's squared row norms, which the previous objective
+     formed (build_context)
   2. gradient step on the unnormalized U-tilde from the carried Cxx U~ and
      Cxy V; form Cxx U~ at the new U-tilde and whiten against Cxx, which
      also yields Cxx U; a second (refinement) pass on a freshly formed
@@ -26,7 +28,8 @@ Cyy V~:
      freshly whitened U; whiten the same way against Cyy; form Cxy V
   4. assemble the new pair moments from these products with k x k work
   5. the objective at the new pair, from its pair moments; its Gram eigh
-     is the one the next iteration's context reuses
+     and its squared row norms are the ones the next iteration's context
+     reuses
 
 Steps 2 and 3 are one step taken on each view in turn, so one gradient,
 grad_u, serves both views (grad_v is the same function with the views'
@@ -50,11 +53,12 @@ restores the exact full-batch whitening constraints once at the end.
 
 fit_moments is the loop; it takes the statistics, so the kernel fit runs it
 on statistics formed from its two n x n Gram matrices.  There a statistic is
-a LowRank held as n x r factors when it has a pivoted-Cholesky factor of
-rank r < n/2 at its rounding level, whose product with an n x k block reads
-2 n r values instead of n^2, and an n x n ndarray otherwise (see
-kernel.fit_kernel).  Besides the statistics, the loop holds only d x k
-iterates and k x k work.
+a LowRank, the plain product left right^T of two n x r factors (one array F
+for a symmetric F F^T), when it has a factor of rank r < n/2 at its own
+rounding level, and an n x n ndarray otherwise (see kernel.fit_kernel).  A
+product with a LowRank and an n x k block reads the (d1 + d2) r = 2 n r
+values of its factors, with no middle term, instead of n^2.  Besides the
+statistics, the loop holds only d x k iterates and k x k work.
 """
 from __future__ import annotations
 
@@ -95,19 +99,20 @@ _REFINE_BOUND = 1e-10
 
 
 class LowRank:
-    """The d1 x d2 matrix left diag(weights) right^T, held as its factors
-    (left: d1 x r, right: d2 x r).
+    """The d1 x d2 matrix left right^T, held as its factors (left: d1 x r,
+    right: d2 x r); a symmetric PSD statistic F F^T holds one array F as
+    both.
 
     It supports what the iteration asks of a statistic: `@` with a block on
     either side, `.T`, `.shape` and `.trace()`.  A product with a d2 x k
-    block reads (d1 + d2) r values instead of d1 d2.
+    block reads (d1 + d2) r values instead of d1 d2, in two matmuls.
     """
 
     # ndarray @ LowRank defers to __rmatmul__ instead of densifying
     __array_ufunc__ = None
 
-    def __init__(self, left: np.ndarray, weights: np.ndarray, right: np.ndarray) -> None:
-        self.left, self.weights, self.right = left, weights, right
+    def __init__(self, left: np.ndarray, right: np.ndarray) -> None:
+        self.left, self.right = left, right
         self._trace: float | None = None
 
     @property
@@ -116,22 +121,22 @@ class LowRank:
 
     @property
     def T(self) -> "LowRank":
-        return LowRank(self.right, self.weights, self.left)
+        return LowRank(self.right, self.left)
 
     def __matmul__(self, m: np.ndarray) -> np.ndarray:
-        return self.left @ (self.weights[:, None] * (self.right.T @ m))
+        return self.left @ (self.right.T @ m)
 
     def __rmatmul__(self, m: np.ndarray) -> np.ndarray:
-        return ((m @ self.left) * self.weights) @ self.right.T
+        return (m @ self.left) @ self.right.T
 
     def trace(self) -> float:
         """The sum of the diagonal, formed on the first call."""
         if self._trace is None:
-            self._trace = float(self.weights @ np.einsum("ij,ij->j", self.left, self.right))
+            self._trace = float(np.einsum("ij,ij->", self.left, self.right))
         return self._trace
 
     def finite(self) -> bool:
-        return all(np.isfinite(a).all() for a in (self.left, self.weights, self.right))
+        return bool(np.isfinite(self.left).all() and np.isfinite(self.right).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,6 +183,9 @@ class PairMoments:
     _spectrum: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False
     )
+    _row_sq: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False
+    )
 
     @classmethod
     def of(cls, pair, cxx_u, cxy_v, cyx_u, cyy_v, n) -> "PairMoments":
@@ -202,19 +210,32 @@ class PairMoments:
             self._spectrum = np.linalg.eigh(self.n * self.gram)
         return self._spectrum
 
+    @property
+    def row_sq(self) -> tuple[np.ndarray, np.ndarray]:
+        """The squared row norms (U * U).sum(axis=1) and (V * V).sum(axis=1),
+        formed on first use and shared by the objective's l21 norm and the
+        next context's half-quadratic weights."""
+        if self._row_sq is None:
+            u, v = self.pair.u, self.pair.v
+            self._row_sq = (u * u).sum(axis=1), (v * v).sum(axis=1)
+        return self._row_sq
+
 
 @dataclass(eq=False, slots=True)
 class IterationContext:
     """Per-iteration quantities fixed at the current true pair (a slotted
     record, read-only by convention, as PairMoments is).
 
-    s_inv_x and s_inv_y apply X S^-1 X^T and Y S^-1 Y^T; they are None when
-    lambda2 = 0.  p and q are the row weights of U and V, the diagonals of the
-    half-quadratic P and Q (all ones in Frobenius penalty mode).
+    s_inv is the S-inverse both views share, and image_x = X Z and
+    image_y = Y Z are the images it is applied to, for Z = [X^T U  Y^T V], so
+    that it applies X S^-1 X^T and Y S^-1 Y^T; all three are None when
+    lambda2 = 0.  p and q are the row weights of U and V, the diagonals of
+    the half-quadratic P and Q (all ones in Frobenius penalty mode).
     """
 
-    s_inv_x: SInverseOperator | None
-    s_inv_y: SInverseOperator | None
+    s_inv: SInverseOperator | None
+    image_x: np.ndarray | None
+    image_y: np.ndarray | None
     p: np.ndarray
     q: np.ndarray
 
@@ -267,21 +288,25 @@ def build_context(pm: PairMoments, hp: Hyperparams) -> IterationContext:
     """Freeze S^-1, P and Q at the pair of `pm` for one iteration.
 
     With Z = [X^T U  Y^T V], the S-inverse is factored from the eigh of the
-    Gram Z^T Z (pm.spectrum) and built on the images X Z = n [Cxx U, Cxy V]
-    and Y Z = n [Cyx U, Cyy V], so its bases are X Phi and Y Phi.
+    Gram Z^T Z (pm.spectrum) into one 2k x 2k core, applied to the images
+    X Z = n [Cxx U, Cxy V] and Y Z = n [Cyx U, Cyy V].  The row weights come
+    from pm.row_sq, which the objective at the same pair has already formed.
     """
-    pair = pm.pair
-    s_inv_x = s_inv_y = None
+    s_inv = image_x = image_y = None
     if hp.lambda2 != 0.0:
-        spec = pm.spectrum
-        s_inv_x = build_s_inverse(pm.n * pm.cxx_u, pm.n * pm.cxy_v, hp.zeta, spec)
-        s_inv_y = build_s_inverse(pm.n * pm.cyx_u, pm.n * pm.cyy_v, hp.zeta, spec)
+        s_inv = build_s_inverse(hp.zeta, pm.spectrum)
+        image_x = np.concatenate((pm.cxx_u, pm.cxy_v), axis=1)
+        image_x *= pm.n
+        image_y = np.concatenate((pm.cyx_u, pm.cyy_v), axis=1)
+        image_y *= pm.n
+    u, v = pm.pair.u, pm.pair.v
     if hp.penalty is Penalty.L21:
-        p = hq_diagonal(pair.u, hp.zeta)
-        q = hq_diagonal(pair.v, hp.zeta)
+        su, sv = pm.row_sq
+        p = hq_diagonal(u, hp.zeta, su)
+        q = hq_diagonal(v, hp.zeta, sv)
     else:
-        p, q = np.ones(pair.u.shape[0]), np.ones(pair.v.shape[0])
-    return IterationContext(s_inv_x=s_inv_x, s_inv_y=s_inv_y, p=p, q=q)
+        p, q = np.ones(u.shape[0]), np.ones(v.shape[0])
+    return IterationContext(s_inv=s_inv, image_x=image_x, image_y=image_y, p=p, q=q)
 
 
 def objective(pm: PairMoments, hp: Hyperparams) -> float:
@@ -292,8 +317,9 @@ def objective(pm: PairMoments, hp: Hyperparams) -> float:
 
     The fit term is (1/2)(tr U^T Cxx U + tr V^T Cyy V - 2 tr U^T Cxy V) and
     the nuclear norm comes from the eigenvalues of the Gram of [X^T U  Y^T V]
-    (pm.spectrum, shared with the next iteration's context).  In Frobenius
-    penalty mode the lambda1 term is ||U||_F^2 + ||V||_F^2.
+    (pm.spectrum, shared with the next iteration's context, as the l21
+    norms' pm.row_sq is).  In Frobenius penalty mode the lambda1 term is
+    ||U||_F^2 + ||V||_F^2.
     """
     u, v = pm.pair.u, pm.pair.v
     k = u.shape[1]
@@ -301,7 +327,8 @@ def objective(pm: PairMoments, hp: Hyperparams) -> float:
     val = 0.5 * float(g[:k, :k].trace() + g[k:, k:].trace() - 2.0 * g[:k, k:].trace())
     if hp.lambda1 != 0.0:
         if hp.penalty is Penalty.L21:
-            val += hp.lambda1 * (l21_norm(u) + l21_norm(v))
+            su, sv = pm.row_sq
+            val += hp.lambda1 * (l21_norm(u, su) + l21_norm(v, sv))
         else:
             val += hp.lambda1 * float((u * u).sum() + (v * v).sum())
     if hp.lambda2 != 0.0:
@@ -311,20 +338,21 @@ def objective(pm: PairMoments, hp: Hyperparams) -> float:
 
 def grad_u(
     m_tilde: np.ndarray, cov_mt: np.ndarray, cross: np.ndarray, weights: np.ndarray,
-    s_inv: SInverseOperator | None, n: int, hp: Hyperparams,
+    s_inv: SInverseOperator | None, image: np.ndarray | None, n: int, hp: Hyperparams,
 ) -> np.ndarray:
     """The gradient of one view's surrogate at its unnormalized iterate; for U
 
       Cxx U~ - Cxy V + lambda1 diag(weights) U~ + lambda2 X S^-1 X^T U~,
 
-    given cov_mt = Cxx U~, cross = Cxy V and s_inv for X S^-1 X^T, applied as
-    zeta^(-1/2) n Cxx U~ + X Phi D (X Phi)^T U~.  For V the views swap roles.
+    given cov_mt = Cxx U~, cross = Cxy V, and s_inv with image = X Z for
+    X S^-1 X^T, applied as zeta^(-1/2) n Cxx U~ + X Z core (X Z)^T U~.  For V
+    the views swap roles.
     """
     g = cov_mt - cross
     if hp.lambda1 != 0.0:
         g = g + hp.lambda1 * weights[:, None] * m_tilde
     if hp.lambda2 != 0.0:
-        g = g + hp.lambda2 * apply_s_inverse(s_inv, m_tilde, n * cov_mt)
+        g = g + hp.lambda2 * apply_s_inverse(s_inv, image, m_tilde, n * cov_mt)
     return g
 
 
@@ -509,7 +537,7 @@ def fit_moments(
 
             ctx = build_context(pm, hp)
 
-            gu = grad_u(ut, cxx_ut, pm.cxy_v, ctx.p, ctx.s_inv_x, stats.n, hp)
+            gu = grad_u(ut, cxx_ut, pm.cxy_v, ctx.p, ctx.s_inv, ctx.image_x, stats.n, hp)
             ut, du = momentum_step(ut, du, gu, hp)
             if not np.isfinite(ut).all():
                 raise NonFiniteIterate("U update produced non-finite values; reduce eta")
@@ -517,7 +545,7 @@ def fit_moments(
             cyx_u = stats.cxy.T @ u
 
             # V's step sees the freshly whitened U through Cyx U
-            gv = grad_v(vt, cyy_vt, cyx_u, ctx.q, ctx.s_inv_y, stats.n, hp)
+            gv = grad_v(vt, cyy_vt, cyx_u, ctx.q, ctx.s_inv, ctx.image_y, stats.n, hp)
             vt, dv = momentum_step(vt, dv, gv, hp)
             if not np.isfinite(vt).all():
                 raise NonFiniteIterate("V update produced non-finite values; reduce eta")

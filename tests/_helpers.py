@@ -51,20 +51,21 @@ def feasible_pair(rng, ds, k):
 def fresh_grad_u(stats, ctx, hp, u_tilde, v):
     """solver.grad_u at U~ against the partner V, with Cxx U~ and Cxy V
     formed afresh from the statistics rather than carried by a loop."""
-    return grad_u(u_tilde, stats.cxx @ u_tilde, stats.cxy @ v, ctx.p, ctx.s_inv_x,
-                  stats.n, hp)
+    return grad_u(u_tilde, stats.cxx @ u_tilde, stats.cxy @ v, ctx.p, ctx.s_inv,
+                  ctx.image_x, stats.n, hp)
 
 
 def fresh_grad_v(stats, ctx, hp, v_tilde, u):
     """solver.grad_v at V~ against the partner U, with Cyy V~ and Cyx U
     formed afresh from the statistics."""
-    return grad_v(v_tilde, stats.cyy @ v_tilde, stats.cxy.T @ u, ctx.q, ctx.s_inv_y,
-                  stats.n, hp)
+    return grad_v(v_tilde, stats.cyy @ v_tilde, stats.cxy.T @ u, ctx.q, ctx.s_inv,
+                  ctx.image_y, stats.n, hp)
 
 
 def n_space_s_inverse(proj_x, proj_y, zeta):
-    """The S-inverse on n-space itself, the image under T = I: built from
-    Z = [proj_x proj_y] and the eigh of Z^T Z, and applied to an n x c block
-    m as apply_s_inverse(op, m, m), since then T T^T m = m."""
+    """(op, Z): the S-inverse on n-space itself, the case T = I, built from
+    the eigh of Z^T Z for Z = [proj_x proj_y], with its image Z.  It applies
+    to an n x c block m as apply_s_inverse(op, Z, m, m), since then
+    T T^T m = m."""
     z = np.concatenate([proj_x, proj_y], axis=1)
-    return build_s_inverse(proj_x, proj_y, zeta, np.linalg.eigh(z.T @ z))
+    return build_s_inverse(zeta, np.linalg.eigh(z.T @ z)), z

@@ -107,7 +107,7 @@ def test_gradients_match_finite_differences_on_twenty_instances():
             diff = proj - partner_proj
             val = 0.5 / n * float((diff * diff).sum())
             val += 0.5 * hp.lambda1 * float((weights * (tilde * tilde).sum(axis=1)).sum())
-            val += 0.5 * hp.lambda2 * float((proj * apply_s_inverse(s_inv, proj, proj)).sum())
+            val += 0.5 * hp.lambda2 * float((proj * apply_s_inverse(*s_inv, proj, proj)).sum())
             return val
 
         for analytic, tilde, view, partner_proj, weights in (
@@ -157,7 +157,7 @@ def test_nuclear_norm_variational_identity():
     worst = 0.0
     for _ in range(100):
         z = rng.standard_normal((8, 4))
-        op = n_space_s_inverse(z[:, :2], z[:, 2:], 1e-10)
+        op, _ = n_space_s_inverse(z[:, :2], z[:, 2:], 1e-10)
         trace_sqrt = float((1.0 / op.scaled_eigs).sum())
         trace_sqrt += (z.shape[0] - op.scaled_eigs.shape[0]) * np.sqrt(1e-10)
         rel = abs(trace_sqrt - nuclear_norm(z)) / nuclear_norm(z)
@@ -178,12 +178,12 @@ def test_s_inverse_operator_matches_dense_oracle():
         zeta = 10.0 ** rng.uniform(-5, -1)
         px = rng.standard_normal((n, k))
         py = rng.standard_normal((n, k))
-        op = n_space_s_inverse(px, py, zeta)
+        op, image = n_space_s_inverse(px, py, zeta)
         mm = px @ px.T + py @ py.T + zeta * np.eye(n)
         w, e = np.linalg.eigh(mm)
         dense = (e / np.sqrt(w)) @ e.T
         probe = rng.standard_normal((n, 4))
-        got = apply_s_inverse(op, probe, probe)
+        got = apply_s_inverse(op, image, probe, probe)
         want = dense @ probe
         worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
     _line("S-inverse operator", worst <= 1e-8,

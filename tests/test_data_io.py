@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rmencca as r
-from rmencca import data_io
+from rmencca import data_io, kernel
 from rmencca.cli import _delimiter, main
 from rmencca.errors import (
     BadMagic,
@@ -594,6 +594,63 @@ def test_load_model_refuses_more_kernel_samples_than_a_fit_allows(tmp_path):
         )
         words = out.stdout.split()  # eval's report, if any, comes in between
         assert words[:1] + words[-1:] == want, (n, out.stderr)
+
+
+_LARGE_EVAL_SCRIPT = """
+import resource
+import sys
+
+# an address-space cap below one 10000 x 10000 cross-Gram per view (763 MiB
+# each): an eval that formed it whole fails at once instead of paging
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+from rmencca.cli import main
+
+model, x_path, y_path = sys.argv[1:]
+print(main(["eval", "--model", model, "--x", x_path, "--y", y_path]))
+"""
+
+
+def test_eval_forms_a_kernel_cross_gram_in_row_blocks(tmp_path):
+    """eval of 10000 test rows against a kernel model of 10000 one-feature
+    training points runs under a 1 GiB address-space cap, which a whole
+    10000 x 10000 cross-Gram per view would not fit; the blocked projection
+    equals the whole one.  The eval runs in a child process."""
+    n = 10000
+    rng = np.random.default_rng(4)
+    points = r.ViewMatrix.of(np.linspace(-1.0, 1.0, n)[None, :])
+    km = r.KernelModel(w_x=rng.standard_normal((n, 1)), w_y=rng.standard_normal((n, 1)),
+                       gram_x=r.GramMatrix(r.KernelSpec(kind=r.KernelKind.GAUSSIAN, width=0.5),
+                                           points),
+                       gram_y=r.GramMatrix(r.KernelSpec(kind=r.KernelKind.LINEAR), points),
+                       report=None)
+    model = tmp_path / "kernel.rmen"
+    r.save_model(r.ModelFile(version=r.MODEL_VERSION, hp=r.Hyperparams(k=1),
+                             means_x=np.zeros(1), means_y=np.zeros(1), kernel=km),
+                 str(model))
+    assert model.stat().st_size < 400_000
+    z = rng.uniform(-1.0, 1.0, n)
+    x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
+    x_path.write_text("".join(f"{v:.6f}\n" for v in np.sin(3.0 * z)))
+    y_path.write_text("".join(f"{v:.6f}\n" for v in z))
+    assert x_path.stat().st_size < 200_000
+
+    package_root = os.path.dirname(os.path.dirname(r.__file__))
+    # one BLAS thread, so the BLAS buffers' address space stays within the cap
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _LARGE_EVAL_SCRIPT, str(model), str(x_path), str(y_path)],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert out.stdout.split()[-1:] == ["0"], out.stderr
+
+    test = r.ViewMatrix.of(np.linspace(-1.0, 1.0, 700)[None, :])
+    blocked = r.project_kernel(km, test, test)
+    for got, gram, w in zip(blocked, (km.gram_x, km.gram_y), (km.w_x, km.w_y)):
+        assert np.allclose(got, kernel.cross_gram(gram, test) @ w, rtol=1e-12, atol=1e-9)
 
 
 def test_save_model_requires_exactly_one_payload(tmp_path):

@@ -43,6 +43,18 @@ def test_gaussian_gram_matches_pairwise_loop():
                 np.exp(-d2 / (2 * 1.3 ** 2)), abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [7, 100, 333, 800, 1001])
+@pytest.mark.parametrize("d", [1, 2, 5, 50])
+def test_gram_is_exactly_symmetric(n, d):
+    """A Gram is symmetric bit for bit without a symmetrizing pass, for both
+    kernels: numpy forms X^T X as a symmetric product.  _pivoted_cholesky
+    reads rows of the Gram, so it relies on this."""
+    view = r.ViewMatrix.of(np.random.default_rng(n * d).standard_normal((d, n)))
+    for gram in (kernel.gram_gaussian(view, width=1.3), kernel.gram_linear(view)):
+        values = gram.values
+        assert np.array_equal(values, values.T)
+
+
 def test_gaussian_gram_is_positive_semidefinite():
     rng = np.random.default_rng(1)
     gram = kernel.gram_gaussian(r.ViewMatrix.of(rng.standard_normal((6, 150))), width=0.8)
@@ -209,10 +221,20 @@ def _loop_statistics(monkeypatch):
              "every statistic factors"])
 def test_factored_statistics_match_the_dense_loop(monkeypatch, case):
     """fit_kernel against the same loop run on the dense statistics
-    second_moments(Kx, Ky): the final objective within 1e-6 relative, the
-    held-out PCC within 0.01 pp, residuals against the dense statistics
-    within 1e-8 * k, the same seed reproducing the fit bit for bit, and a
-    fit in which no statistic factors identical to the dense loop."""
+    second_moments(Kx, Ky): each factored statistic F G^T within 2 n eps of
+    the dense one in Frobenius norm, the final objective within 1e-6
+    relative, the held-out PCC within 0.01 pp, residuals against the dense
+    statistics within 1e-8 * k, the same seed reproducing the fit bit for
+    bit, and a fit in which no statistic factors identical to the dense
+    loop.  On the sinusoid data the cross statistic, kept at its own
+    rounding level, has fewer columns than the x Gram's factor it comes
+    from.
+
+    The factors' bound is 2 n eps, not n eps: each statistic drops the
+    directions below n eps times its largest eigenvalue or singular value,
+    on top of its Gram factor's own truncation, and the dense reference has
+    rounding error of its own (largest measured 1.51 n eps, on the cross
+    statistic at n = 800)."""
     train, val, sx, sy, hp, factors = _factoring_case(case)
     seen = _loop_statistics(monkeypatch)
     model = r.fit_kernel(train, sx, sy, hp)
@@ -220,6 +242,14 @@ def test_factored_statistics_match_the_dense_loop(monkeypatch, case):
     assert (isinstance(seen[0].cxx, LowRank), isinstance(seen[0].cyy, LowRank)) == factors
     assert isinstance(seen[0].cxy, LowRank) == any(factors)
     dense = second_moments(kx.T, ky.T)
+    n, eps = train.n, np.finfo(float).eps
+    for got, want in zip((seen[0].cxx, seen[0].cyy, seen[0].cxy),
+                         (dense.cxx, dense.cyy, dense.cxy)):
+        if isinstance(got, LowRank):
+            err = np.linalg.norm(got.left @ got.right.T - want)
+            assert err <= 2.0 * n * eps * np.linalg.norm(want)
+    if sx == _SINUSOID_SPECS[0]:
+        assert seen[0].cxy.left.shape[1] < kernel._gram_factor(kx)[0].shape[1]
     ref = fit_moments(dense, hp)
 
     again = r.fit_kernel(train, sx, sy, hp)

@@ -74,28 +74,28 @@ def test_s_inverse_matches_dense_oracle():
         px = rng.standard_normal((n, k))
         py = rng.standard_normal((n, k))
         zeta = 10.0 ** rng.uniform(-5, -1)
-        op = n_space_s_inverse(px, py, zeta)
+        op, image = n_space_s_inverse(px, py, zeta)
         dense = _dense_inv_sqrt(px @ px.T + py @ py.T + zeta * np.eye(n))
         m = rng.standard_normal((n, 3))
-        got = apply_s_inverse(op, m, m)
+        got = apply_s_inverse(op, image, m, m)
         want = dense @ m
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
 
 def test_s_inverse_zero_projections_scale_by_zeta():
     """With zero projections the operator is zeta^(-1/2) times identity."""
-    op = n_space_s_inverse(np.zeros((5, 2)), np.zeros((5, 2)), 1e-4)
+    op, image = n_space_s_inverse(np.zeros((5, 2)), np.zeros((5, 2)), 1e-4)
     m = np.eye(5)
-    got = apply_s_inverse(op, m, m)
+    got = apply_s_inverse(op, image, m, m)
     assert np.allclose(got, 1e2 * np.eye(5))
 
 
 def test_s_inverse_basis_stays_thin():
-    """The factored form never materializes an n x n matrix: the basis has
-    at most 2k columns."""
+    """The factored form never materializes an n x n matrix: the core is
+    2k x 2k and the basis has at most 2k columns."""
     rng = np.random.default_rng(5)
     px = rng.standard_normal((40, 3))
     py = rng.standard_normal((40, 3))
-    op = n_space_s_inverse(px, py, 1e-6)
-    assert op.basis.shape[0] == 40
-    assert op.basis.shape[1] <= 6
+    op, _ = n_space_s_inverse(px, py, 1e-6)
+    assert op.core.shape == (6, 6)
+    assert op.basis.shape[0] == 6 and op.basis.shape[1] <= 6

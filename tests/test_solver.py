@@ -58,14 +58,14 @@ def test_build_context_freezes_current_pair():
     assert np.allclose(stats.cxy, x @ y.T / 30)
     want_p = 1.0 / (2.0 * np.sqrt((pair.u ** 2).sum(axis=1) + hp.zeta))
     assert np.allclose(ctx.p, want_p)
-    direct = n_space_s_inverse(x.T @ pair.u, y.T @ pair.v, hp.zeta)
+    direct, z = n_space_s_inverse(x.T @ pair.u, y.T @ pair.v, hp.zeta)
     probe = rng.standard_normal((30, 2))
     # the context applies X S^-1 X^T and Y S^-1 Y^T; lift the n-space probe
     # into each view
-    for view, op in ((x, ctx.s_inv_x), (y, ctx.s_inv_y)):
+    for view, image in ((x, ctx.image_x), (y, ctx.image_y)):
         m = view @ probe
-        assert np.allclose(apply_s_inverse(op, m, view @ (view.T @ m)),
-                           view @ apply_s_inverse(direct, view.T @ m, view.T @ m))
+        assert np.allclose(apply_s_inverse(ctx.s_inv, image, m, view @ (view.T @ m)),
+                           view @ apply_s_inverse(direct, z, view.T @ m, view.T @ m))
 
 
 def test_build_context_frobenius_mode_uses_unit_weights():
@@ -120,7 +120,7 @@ def _surrogate_u(ds, pair, ctx, s_inv, hp, ut):
     val = 0.5 / ds.n * float((diff * diff).sum())
     val += 0.5 * hp.lambda1 * float((ctx.p * (ut * ut).sum(axis=1)).sum())
     proj = x.T @ ut
-    val += 0.5 * hp.lambda2 * float((proj * apply_s_inverse(s_inv, proj, proj)).sum())
+    val += 0.5 * hp.lambda2 * float((proj * apply_s_inverse(*s_inv, proj, proj)).sum())
     return val
 
 
@@ -130,7 +130,7 @@ def _surrogate_v(ds, pair, ctx, s_inv, hp, vt):
     val = 0.5 / ds.n * float((diff * diff).sum())
     val += 0.5 * hp.lambda1 * float((ctx.q * (vt * vt).sum(axis=1)).sum())
     proj = y.T @ vt
-    val += 0.5 * hp.lambda2 * float((proj * apply_s_inverse(s_inv, proj, proj)).sum())
+    val += 0.5 * hp.lambda2 * float((proj * apply_s_inverse(*s_inv, proj, proj)).sum())
     return val
 
 
@@ -411,12 +411,12 @@ def _counting_statistics(monkeypatch):
 
         @property
         def T(self):
-            return CountedLowRank(self.right, self.weights, self.left)
+            return CountedLowRank(self.right, self.left)
 
     def counted(s):
         def wrap(c):
             if isinstance(c, solver.LowRank):
-                return CountedLowRank(c.left, c.weights, c.right)
+                return CountedLowRank(c.left, c.right)
             return c.view(Counted)
 
         return solver.SecondMoments(cxx=wrap(s.cxx), cyy=wrap(s.cyy), cxy=wrap(s.cxy), n=s.n)
@@ -458,12 +458,12 @@ def _counting_phases(monkeypatch, names):
 
 
 def test_loop_reaches_each_phase_by_name(monkeypatch):
-    """With both penalties on, each of 3 iterations builds one context, takes
-    one gradient per view (grad_u for U, grad_v for V) and one objective, and
-    per view one momentum step, one row-weight vector, one S-inverse factor
-    and one S-inverse application."""
+    """With both penalties on, each of 3 iterations builds one context, one
+    S-inverse core shared by both views, takes one gradient per view (grad_u
+    for U, grad_v for V) and one objective, and per view one momentum step,
+    one row-weight vector and one S-inverse application."""
     per_iteration = {"build_context": 1, "objective": 1, "grad_u": 1, "grad_v": 1,
-                     "momentum_step": 2, "hq_diagonal": 2, "build_s_inverse": 2,
+                     "momentum_step": 2, "hq_diagonal": 2, "build_s_inverse": 1,
                      "apply_s_inverse": 2}
     counts = _counting_phases(monkeypatch, per_iteration)
     ds, _ = planted(200, 7, 6, (0.8, 0.5), 0.2, seed=9)

@@ -11,11 +11,12 @@ branch of the gradient runs), the rmen `train` again with its fit flags in a
 BLAS thread and rmencca imported from DIR (default: the src/ beside this
 script).  Prints one "sha256  name" line per output file.
 JSON reports are hashed without their wall_seconds fields, which change
-from run to run; every other file is hashed as written.  For each kernel
-fit (the kernel `train` runs and the kernel row of `compare`) it also prints
-one "objective pcc  values-name" line, its final objective and held-out
-mean PCC (percent) to 17 significant digits, so that two source trees'
-outputs show how far a value moved, not only that its bytes changed.  Then runs each of
+from run to run; every other file is hashed as written.  For each fit
+(every `train` run of RUNS and every row of `compare`) it also prints one
+"objective pcc  values-name" line, its final objective ("-" for a fit
+without an objective trace) and held-out mean PCC (percent) to 17
+significant digits, so that two source trees' outputs show how far a value
+moved, not only that its bytes changed.  Then runs each of
 FAILURES, commands that must fail, on inputs made from those files, and
 prints one "sha256  fail-name" line per command, the digest of its exit code
 and stderr, in which DIR reads "<src>".  Running it against two source trees
@@ -152,7 +153,9 @@ def _digest(path: str) -> str:
 
 def _values(report: dict) -> str:
     """A fit's final objective and held-out mean PCC, to 17 digits."""
-    return f"{report['objective_trace'][-1]:.17g} {report['mean_pcc_percent']:.17g}"
+    trace = report.get("objective_trace")
+    objective = f"{trace[-1]:.17g}" if trace else "-"
+    return f"{objective} {report['mean_pcc_percent']:.17g}"
 
 
 def main() -> None:
@@ -180,13 +183,11 @@ def main() -> None:
         for name in sorted(os.listdir(tmp)):
             print(f"{_digest(os.path.join(tmp, name))}  {name}")
         for name in RUNS:
-            if name.startswith("kernel"):
-                with open(os.path.join(tmp, f"train-{name}.json"), encoding="utf-8") as fh:
-                    print(f"{_values(json.load(fh))}  values-{name}")
+            with open(os.path.join(tmp, f"train-{name}.json"), encoding="utf-8") as fh:
+                print(f"{_values(json.load(fh))}  values-{name}")
         with open(os.path.join(tmp, "compare.json"), encoding="utf-8") as fh:
             for row in json.load(fh)["rows"]:
-                if row["variant"] == "kernel-rmen":
-                    print(f"{_values(row)}  values-compare-kernel-rmen")
+                print(f"{_values(row)}  values-compare-{row['variant']}")
         _failure_inputs(tmp)
         for name, argv in FAILURES.items():
             done = _run(src, tmp, *argv, check=False)
