@@ -2,13 +2,16 @@
 
 l21 norm, its half-quadratic surrogate, the nuclear norm, and the factored
 S-inverse operator representing (M + zeta I)^(-1/2) for M = Z Z^T,
-Z = [proj_x proj_y].  M has rank at most 2k, so the operator is factored from
-an eigh of the 2k x 2k Gram Z^T Z into one 2k x 2k core.  It is applied to
-an image T Z of Z under a linear map T (the solver uses T = X and T = Y, the
-images coming from the pair moments), so that T S^-1 T^T is applied without
-ever forming an n-length array; one eigh and one core serve both images,
-and the eigh the nuclear norm too.  The n-space operator is the case T = I,
-whose image is Z itself.
+Z = [proj_x proj_y], on span(Z).  That is all the solver passes through it:
+after every whitening U = U~ R, X^T U~ = X^T U R^-1 lies in span(Z), where a
+zeta^(-1/2) term for the orthogonal complement would cancel exactly and add
+only rounding error.  M has rank at most 2k, so the operator is factored
+from an eigh of the 2k x 2k Gram Z^T Z into one 2k x 2k core.  It is applied
+to an image T Z of Z under a linear map T (the solver uses T = X and T = Y,
+the images coming from the pair moments), so that T S^-1 T^T is applied
+without ever forming an n-length array; one eigh and one core serve both
+images, and the eigh the nuclear norm too.  The n-space operator is the case
+T = I, whose image is Z itself.
 
 zeta reaches these functions only as Hyperparams.zeta, which is checked
 finite and positive there, so it is not checked again here.
@@ -34,22 +37,20 @@ _RANK_CUTOFF = 1e-12
 
 @dataclass(eq=False, slots=True)
 class SInverseOperator:
-    """Factored T S^-1 T^T for any linear map T, S^-1 = (M + zeta I)^(-1/2).
+    """Factored T S^-1 T^T on span(Z) for any linear map T,
+    S^-1 = (M + zeta I)^(-1/2).
 
     With Phi the r kept left singular vectors of Z, Phi = Z basis for the
-    2k x r basis = W lam^(-1/2) (W, lam the kept eigenpairs of Z^T Z), and
-    S^-1 = complement_scale I + Phi diag(scaled_eigs - complement_scale) Phi^T,
-    where complement_scale = zeta^(-1/2) scales everything orthogonal to
-    span(Phi).  So T S^-1 T^T = complement_scale T T^T + (T Z) core (T Z)^T
-    with the 2k x 2k core = basis diag(scaled_eigs - complement_scale)
-    basis^T, and one operator serves every T.  The loop builds one per
-    iteration, so it is slotted rather than frozen (cheaper to build); treat
-    it as read-only.
+    2k x r basis = W lam^(-1/2) (W, lam the kept eigenpairs of Z^T Z), S^-1
+    is Phi diag(scaled_eigs) Phi^T on span(Phi).  So T S^-1 T^T is
+    (T Z) core (T Z)^T there, with the 2k x 2k core
+    basis diag(scaled_eigs) basis^T, and one operator serves every T.
+    The loop builds one per iteration, so it is slotted rather than frozen
+    (cheaper to build); treat it as read-only.
     """
 
     basis: np.ndarray
     scaled_eigs: np.ndarray
-    complement_scale: float
     core: np.ndarray
 
 
@@ -103,19 +104,11 @@ def build_s_inverse(zeta: float, spectrum) -> SInverseOperator:
     lam = lam[keep]
     basis = w[:, keep] / np.sqrt(lam)
     scaled = 1.0 / np.sqrt(lam + zeta)
-    complement = zeta ** -0.5
-    return SInverseOperator(
-        basis=basis,
-        scaled_eigs=scaled,
-        complement_scale=complement,
-        core=(basis * (scaled - complement)) @ basis.T,
-    )
+    return SInverseOperator(basis=basis, scaled_eigs=scaled, core=(basis * scaled) @ basis.T)
 
 
-def apply_s_inverse(op: SInverseOperator, image, m, outer) -> np.ndarray:
-    """T S^-1 T^T m for a block m of the image space, in O(n c k) for n x c.
-
-    `image` is T Z (Z itself when T is the identity) and `outer` is T T^T m
-    (m itself when T is the identity).
-    """
-    return op.complement_scale * outer + image @ (op.core @ (image.T @ m))
+def apply_s_inverse(op: SInverseOperator, image, m) -> np.ndarray:
+    """T S^-1 T^T m for a block m of the image space with T^T m in span(Z),
+    in O(n c k) for n x c.  `image` is T Z (Z itself when T is the
+    identity)."""
+    return image @ (op.core @ (image.T @ m))

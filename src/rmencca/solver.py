@@ -18,7 +18,7 @@ Cyy V~:
   1. build the one 2k x 2k S-inverse core both views share from the eigh of
      the pair Gram, and the half-quadratic diagonals P (from U) and Q (from
      V) from the pair's squared row norms, which the previous objective
-     formed (build_context)
+     formed (build_context); the core acts on span(Z) only (see grad_u)
   2. gradient step on the unnormalized U-tilde from the carried Cxx U~ and
      Cxy V; form Cxx U~ at the new U-tilde and whiten against Cxx, which
      also yields Cxx U; a second (refinement) pass on a freshly formed
@@ -228,9 +228,9 @@ class IterationContext:
 
     s_inv is the S-inverse both views share, and image_x = X Z and
     image_y = Y Z are the images it is applied to, for Z = [X^T U  Y^T V], so
-    that it applies X S^-1 X^T and Y S^-1 Y^T; all three are None when
-    lambda2 = 0.  p and q are the row weights of U and V, the diagonals of
-    the half-quadratic P and Q (all ones in Frobenius penalty mode).
+    that it applies X S^-1 X^T and Y S^-1 Y^T on span(Z); all three are None
+    when lambda2 = 0.  p and q are the row weights of U and V, the diagonals
+    of the half-quadratic P and Q (all ones in Frobenius penalty mode).
     """
 
     s_inv: SInverseOperator | None
@@ -338,21 +338,21 @@ def objective(pm: PairMoments, hp: Hyperparams) -> float:
 
 def grad_u(
     m_tilde: np.ndarray, cov_mt: np.ndarray, cross: np.ndarray, weights: np.ndarray,
-    s_inv: SInverseOperator | None, image: np.ndarray | None, n: int, hp: Hyperparams,
+    s_inv: SInverseOperator | None, image: np.ndarray | None, hp: Hyperparams,
 ) -> np.ndarray:
     """The gradient of one view's surrogate at its unnormalized iterate; for U
 
       Cxx U~ - Cxy V + lambda1 diag(weights) U~ + lambda2 X S^-1 X^T U~,
 
     given cov_mt = Cxx U~, cross = Cxy V, and s_inv with image = X Z for
-    X S^-1 X^T, applied as zeta^(-1/2) n Cxx U~ + X Z core (X Z)^T U~.  For V
-    the views swap roles.
+    X S^-1 X^T, applied as X Z core (X Z)^T U~: exact, since the loop's
+    U~ = U R^-1 puts X^T U~ in span(Z).  For V the views swap roles.
     """
     g = cov_mt - cross
     if hp.lambda1 != 0.0:
         g = g + hp.lambda1 * weights[:, None] * m_tilde
     if hp.lambda2 != 0.0:
-        g = g + hp.lambda2 * apply_s_inverse(s_inv, image, m_tilde, n * cov_mt)
+        g = g + hp.lambda2 * apply_s_inverse(s_inv, image, m_tilde)
     return g
 
 
@@ -537,7 +537,7 @@ def fit_moments(
 
             ctx = build_context(pm, hp)
 
-            gu = grad_u(ut, cxx_ut, pm.cxy_v, ctx.p, ctx.s_inv, ctx.image_x, stats.n, hp)
+            gu = grad_u(ut, cxx_ut, pm.cxy_v, ctx.p, ctx.s_inv, ctx.image_x, hp)
             ut, du = momentum_step(ut, du, gu, hp)
             if not np.isfinite(ut).all():
                 raise NonFiniteIterate("U update produced non-finite values; reduce eta")
@@ -545,7 +545,7 @@ def fit_moments(
             cyx_u = stats.cxy.T @ u
 
             # V's step sees the freshly whitened U through Cyx U
-            gv = grad_v(vt, cyy_vt, cyx_u, ctx.q, ctx.s_inv, ctx.image_y, stats.n, hp)
+            gv = grad_v(vt, cyy_vt, cyx_u, ctx.q, ctx.s_inv, ctx.image_y, hp)
             vt, dv = momentum_step(vt, dv, gv, hp)
             if not np.isfinite(vt).all():
                 raise NonFiniteIterate("V update produced non-finite values; reduce eta")

@@ -52,20 +52,28 @@ def fresh_grad_u(stats, ctx, hp, u_tilde, v):
     """solver.grad_u at U~ against the partner V, with Cxx U~ and Cxy V
     formed afresh from the statistics rather than carried by a loop."""
     return grad_u(u_tilde, stats.cxx @ u_tilde, stats.cxy @ v, ctx.p, ctx.s_inv,
-                  ctx.image_x, stats.n, hp)
+                  ctx.image_x, hp)
 
 
 def fresh_grad_v(stats, ctx, hp, v_tilde, u):
     """solver.grad_v at V~ against the partner U, with Cyy V~ and Cyx U
     formed afresh from the statistics."""
     return grad_v(v_tilde, stats.cyy @ v_tilde, stats.cxy.T @ u, ctx.q, ctx.s_inv,
-                  ctx.image_y, stats.n, hp)
+                  ctx.image_y, hp)
 
 
 def n_space_s_inverse(proj_x, proj_y, zeta):
     """(op, Z): the S-inverse on n-space itself, the case T = I, built from
     the eigh of Z^T Z for Z = [proj_x proj_y], with its image Z.  It applies
-    to an n x c block m as apply_s_inverse(op, Z, m, m), since then
-    T T^T m = m."""
+    to an n x c block m in span(Z) as apply_s_inverse(op, Z, m), and maps
+    the orthogonal complement of span(Z) to 0."""
     z = np.concatenate([proj_x, proj_y], axis=1)
     return build_s_inverse(zeta, np.linalg.eigh(z.T @ z)), z
+
+
+def dense_s_inverse(proj_x, proj_y, zeta):
+    """The n x n S-inverse (Z Z^T + zeta I)^(-1/2) for Z = [proj_x proj_y],
+    from a dense eigh."""
+    z = np.concatenate([proj_x, proj_y], axis=1)
+    w, e = np.linalg.eigh(z @ z.T + zeta * np.eye(z.shape[0]))
+    return (e / np.sqrt(w)) @ e.T

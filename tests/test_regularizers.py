@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rmencca.regularizers import apply_s_inverse, hq_diagonal, l21_norm, nuclear_norm
 
-from _helpers import n_space_s_inverse
+from _helpers import dense_s_inverse, n_space_s_inverse
 
 
 def test_l21_norm_hand_values():
@@ -61,11 +61,6 @@ def test_hq_tightness_identity(seed, zeta):
 
 # --------------------------------------------------------- S-inverse operator
 
-def _dense_inv_sqrt(mm):
-    w, e = np.linalg.eigh(mm)
-    return (e / np.sqrt(w)) @ e.T
-
-
 def test_s_inverse_matches_dense_oracle():
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -75,19 +70,20 @@ def test_s_inverse_matches_dense_oracle():
         py = rng.standard_normal((n, k))
         zeta = 10.0 ** rng.uniform(-5, -1)
         op, image = n_space_s_inverse(px, py, zeta)
-        dense = _dense_inv_sqrt(px @ px.T + py @ py.T + zeta * np.eye(n))
-        m = rng.standard_normal((n, 3))
-        got = apply_s_inverse(op, image, m, m)
+        dense = dense_s_inverse(px, py, zeta)
+        # the operator acts on span(Z), so probe it there
+        m = image @ rng.standard_normal((2 * k, 3))
+        got = apply_s_inverse(op, image, m)
         want = dense @ m
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
 
-def test_s_inverse_zero_projections_scale_by_zeta():
-    """With zero projections the operator is zeta^(-1/2) times identity."""
+def test_s_inverse_of_zero_projections_is_zero():
+    """With zero projections span(Z) = {0}, and the operator, which acts on
+    span(Z) only, keeps no basis column and maps every block to 0."""
     op, image = n_space_s_inverse(np.zeros((5, 2)), np.zeros((5, 2)), 1e-4)
-    m = np.eye(5)
-    got = apply_s_inverse(op, image, m, m)
-    assert np.allclose(got, 1e2 * np.eye(5))
+    assert op.basis.shape == (4, 0)
+    assert np.array_equal(apply_s_inverse(op, image, np.eye(5)), np.zeros((5, 5)))
 
 
 def test_s_inverse_basis_stays_thin():

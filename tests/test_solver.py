@@ -24,6 +24,7 @@ from rmencca.solver import (
 
 from _helpers import (
     centered,
+    dense_s_inverse,
     feasible_pair,
     fresh_grad_u,
     fresh_grad_v,
@@ -64,8 +65,8 @@ def test_build_context_freezes_current_pair():
     # into each view
     for view, image in ((x, ctx.image_x), (y, ctx.image_y)):
         m = view @ probe
-        assert np.allclose(apply_s_inverse(ctx.s_inv, image, m, view @ (view.T @ m)),
-                           view @ apply_s_inverse(direct, z, view.T @ m, view.T @ m))
+        assert np.allclose(apply_s_inverse(ctx.s_inv, image, m),
+                           view @ apply_s_inverse(direct, z, view.T @ m))
 
 
 def test_build_context_frobenius_mode_uses_unit_weights():
@@ -120,7 +121,7 @@ def _surrogate_u(ds, pair, ctx, s_inv, hp, ut):
     val = 0.5 / ds.n * float((diff * diff).sum())
     val += 0.5 * hp.lambda1 * float((ctx.p * (ut * ut).sum(axis=1)).sum())
     proj = x.T @ ut
-    val += 0.5 * hp.lambda2 * float((proj * apply_s_inverse(*s_inv, proj, proj)).sum())
+    val += 0.5 * hp.lambda2 * float((proj * (s_inv @ proj)).sum())
     return val
 
 
@@ -130,21 +131,23 @@ def _surrogate_v(ds, pair, ctx, s_inv, hp, vt):
     val = 0.5 / ds.n * float((diff * diff).sum())
     val += 0.5 * hp.lambda1 * float((ctx.q * (vt * vt).sum(axis=1)).sum())
     proj = y.T @ vt
-    val += 0.5 * hp.lambda2 * float((proj * apply_s_inverse(*s_inv, proj, proj)).sum())
+    val += 0.5 * hp.lambda2 * float((proj * (s_inv @ proj)).sum())
     return val
 
 
 def test_gradients_match_finite_differences():
+    """The analytic gradients at iterates U~ = U A, V~ = V B (as the loop's
+    are, for the pair it whitened) match central differences of the paper's
+    surrogate, whose S-inverse is the dense n x n (ZZ^T + zeta I)^(-1/2)."""
     rng = np.random.default_rng(4)
     ds = random_dataset(rng, 6, 5, 18)
     hp = r.Hyperparams(k=2, lambda1=0.3, lambda2=0.2, zeta=1e-4)
     pair = feasible_pair(rng, ds, 2)
-    ut = rng.standard_normal((ds.x.d, 2))
-    vt = rng.standard_normal((ds.y.d, 2))
+    ut = pair.u @ rng.standard_normal((2, 2))
+    vt = pair.v @ rng.standard_normal((2, 2))
     stats = _stats(ds)
     ctx = build_context(pair_moments(stats, pair), hp)
-    # the surrogate's S-inverse, built in n-space independently of ctx
-    s_inv = n_space_s_inverse(ds.x.data.T @ pair.u, ds.y.data.T @ pair.v, hp.zeta)
+    s_inv = dense_s_inverse(ds.x.data.T @ pair.u, ds.y.data.T @ pair.v, hp.zeta)
     h = 1e-6
     for analytic, surrogate, tilde in (
         (fresh_grad_u(stats, ctx, hp, ut, pair.v), _surrogate_u, ut),
@@ -163,21 +166,26 @@ def test_gradients_match_finite_differences():
         assert rel < 1e-5
 
 
-def _n_space_reference(ds, pair, ut, vt, hp):
-    """grad_u, grad_v and the objective formed from the views themselves, with
-    the S-inverse factored by a thin SVD of the n x 2k [X^T U  Y^T V]."""
+def _push_through(z, zeta):
+    """S^-1 Z = Z (Z^T Z + zeta I)^(-1/2) for the S-inverse of Z, formed from
+    a thin SVD of Z: P diag(sigma / sqrt(sigma^2 + zeta)) Q^T."""
+    phi, sigma, qt = np.linalg.svd(z, full_matrices=False)
+    return phi @ ((sigma / np.sqrt(sigma * sigma + zeta))[:, None] * qt)
+
+
+def _n_space_reference(ds, pair, a_u, a_v, hp):
+    """grad_u, grad_v at U~ = U a_u, V~ = V a_v and the objective formed
+    from the views themselves.  Then X^T U~ = Z [a_u; 0] and
+    Y^T V~ = Z [0; a_v] for Z = [X^T U  Y^T V], so the S-inverse terms are
+    X S^-1 Z [a_u; 0] and Y S^-1 Z [0; a_v], with S^-1 Z in push-through
+    form."""
     x, y = ds.x.data, ds.y.data
     n = ds.n
     u, v = pair.u, pair.v
+    ut, vt = u @ a_u, v @ a_v
+    k = u.shape[1]
     a, b = x.T @ u, y.T @ v
-    phi, sigma, _ = np.linalg.svd(np.concatenate([a, b], axis=1), full_matrices=False)
-    keep = sigma > 1e-10 * sigma[0]
-    phi = phi[:, keep]
-    scale = hp.zeta ** -0.5
-    shift = 1.0 / np.sqrt(sigma[keep] ** 2 + hp.zeta) - scale
-
-    def s_inv(m):
-        return scale * m + phi @ (shift[:, None] * (phi.T @ m))
+    s_inv_z = _push_through(np.concatenate([a, b], axis=1), hp.zeta)
 
     if hp.penalty is r.Penalty.L21:
         p = hq_diagonal(u, hp.zeta)
@@ -187,9 +195,9 @@ def _n_space_reference(ds, pair, ut, vt, hp):
         p, q = np.ones(ds.x.d), np.ones(ds.y.d)
         row_penalty = float((u * u).sum() + (v * v).sum())
     gu = (x @ (x.T @ ut) / n - x @ b / n + hp.lambda1 * p[:, None] * ut
-          + hp.lambda2 * (x @ s_inv(x.T @ ut)))
+          + hp.lambda2 * (x @ (s_inv_z[:, :k] @ a_u)))
     gv = (y @ (y.T @ vt) / n - y @ a / n + hp.lambda1 * q[:, None] * vt
-          + hp.lambda2 * (y @ s_inv(y.T @ vt)))
+          + hp.lambda2 * (y @ (s_inv_z[:, k:] @ a_v)))
     diff = a - b
     obj = (0.5 / n * float((diff * diff).sum()) + hp.lambda1 * row_penalty
            + hp.lambda2 * nuclear_norm(np.concatenate([a, b], axis=1)))
@@ -200,7 +208,8 @@ def test_statistics_form_matches_n_space_formulas():
     """grad_u, grad_v and objective from second moments agree with the
     n-space formulas to 1e-9 relative error on 20 instances, in both penalty
     modes, including a rank-deficient [X^T U  Y^T V] (y = 2x, d < 2k) and
-    fewer samples than 2k."""
+    fewer samples than 2k.  The iterates are U~ = U A and V~ = V B, so
+    that X^T U~ and Y^T V~ lie in span([X^T U  Y^T V]), as the loop's do."""
     rng = np.random.default_rng(18)
     worst = 0.0
     for trial in range(20):
@@ -220,11 +229,11 @@ def test_statistics_form_matches_n_space_formulas():
         hp = r.Hyperparams(k=k, lambda1=float(rng.uniform(0.0, 0.5)),
                            lambda2=float(rng.uniform(0.0, 0.5)),
                            zeta=10.0 ** rng.uniform(-8, -2), penalty=penalty)
-        ut = rng.standard_normal((ds.x.d, k))
-        vt = rng.standard_normal((ds.y.d, k))
         pair = r.CanonicalPair(u=rng.standard_normal((ds.x.d, k)),
                                v=rng.standard_normal((ds.y.d, k)))
-        want_u, want_v, want_obj = _n_space_reference(ds, pair, ut, vt, hp)
+        a_u, a_v = rng.standard_normal((k, k)), rng.standard_normal((k, k))
+        ut, vt = pair.u @ a_u, pair.v @ a_v
+        want_u, want_v, want_obj = _n_space_reference(ds, pair, a_u, a_v, hp)
         stats = _stats(ds)
         pm = pair_moments(stats, pair)
         ctx = build_context(pm, hp)
@@ -233,6 +242,30 @@ def test_statistics_form_matches_n_space_formulas():
             worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
         worst = max(worst, abs(objective(pm, hp) - want_obj) / abs(want_obj))
     assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("n", [600, 2000])
+def test_lambda2_gradient_is_exact_on_the_trajectory(n):
+    """On a fitted, whitened pair (U, V) and iterates U~ = U A, V~ = V B,
+    the lambda2 term of each view's gradient equals
+    lambda2 X Z (Z^T Z + zeta I)^(-1/2) [A; 0] (for V, Y and [0; B]), formed
+    from the views, to 1e-12 relative.  grad_u is called with zero
+    statistic products and lambda1 = 0, so it returns that term alone."""
+    ds = centered(planted(n, 8, 6, (0.9, 0.6), 0.3, seed=3)[0])
+    hp = r.Hyperparams(k=2, lambda1=0.0, zeta=1e-8, max_iters=150, tol=0.0, seed=4)
+    pair = r.fit_full(ds, hp).pair
+    stats = _stats(ds)
+    ctx = build_context(pair_moments(stats, pair), hp)
+    x, y = ds.x.data, ds.y.data
+    s_inv_z = _push_through(np.concatenate([x.T @ pair.u, y.T @ pair.v], axis=1), hp.zeta)
+    rng = np.random.default_rng(n)
+    for view, m, image, cols in ((x, pair.u, ctx.image_x, slice(0, 2)),
+                                 (y, pair.v, ctx.image_y, slice(2, 4))):
+        a = rng.standard_normal((2, 2))
+        zero = np.zeros_like(m)
+        got = solver.grad_u(m @ a, zero, zero, ctx.p, ctx.s_inv, image, hp)
+        want = hp.lambda2 * (view @ (s_inv_z[:, cols] @ a))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_momentum_step_recursion():

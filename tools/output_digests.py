@@ -1,6 +1,6 @@
 """Digests of every file the CLI writes on one fixed-seed run.
 
-Usage: python tools/output_digests.py [--src DIR]
+Usage: python tools/output_digests.py [--src DIR] [--against BASE]
 
 In a temporary directory, runs `synth`, then `train` and `eval` for every
 variant (kernel-rmen with a full-rank Gaussian and a low-rank linear
@@ -19,8 +19,15 @@ significant digits, so that two source trees' outputs show how far a value
 moved, not only that its bytes changed.  Then runs each of
 FAILURES, commands that must fail, on inputs made from those files, and
 prints one "sha256  fail-name" line per command, the digest of its exit code
-and stderr, in which DIR reads "<src>".  Running it against two source trees
-shows which outputs and which error behaviours a change moved.
+and stderr, in which DIR reads "<src>".
+
+With --against BASE, it runs all of this on BASE as well (another source
+tree's src/), and prints instead, for each values line, the relative change
+from BASE to DIR of the final objective and of the held-out PCC
+(|DIR - BASE| / |BASE|, "-" for a fit without an objective), then one
+"moved  name" line per digest that differs between the trees, and a count.
+So one command shows which outputs and which error behaviours a change
+moved, and by how much.
 """
 from __future__ import annotations
 
@@ -158,10 +165,10 @@ def _values(report: dict) -> str:
     return f"{objective} {report['mean_pcc_percent']:.17g}"
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", default=os.path.join(os.path.dirname(HERE), "src"))
-    src = os.path.abspath(ap.parse_args().src)
+def _outputs(src: str) -> list[str]:
+    """The "digest  name" and "objective pcc  values-name" lines of one
+    source tree, in the order they are printed."""
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         # relative names, so that reports naming their files do not differ
         # with the temporary directory
@@ -181,18 +188,57 @@ def main() -> None:
              "--variants", "rmen,men,appgrad,closed-form,kernel-rmen",
              "--out", "compare.json")
         for name in sorted(os.listdir(tmp)):
-            print(f"{_digest(os.path.join(tmp, name))}  {name}")
+            lines.append(f"{_digest(os.path.join(tmp, name))}  {name}")
         for name in RUNS:
             with open(os.path.join(tmp, f"train-{name}.json"), encoding="utf-8") as fh:
-                print(f"{_values(json.load(fh))}  values-{name}")
+                lines.append(f"{_values(json.load(fh))}  values-{name}")
         with open(os.path.join(tmp, "compare.json"), encoding="utf-8") as fh:
             for row in json.load(fh)["rows"]:
-                print(f"{_values(row)}  values-compare-{row['variant']}")
+                lines.append(f"{_values(row)}  values-compare-{row['variant']}")
         _failure_inputs(tmp)
         for name, argv in FAILURES.items():
             done = _run(src, tmp, *argv, check=False)
             outcome = f"{done.returncode}\n{done.stderr.replace(src, '<src>')}"
-            print(f"{hashlib.sha256(outcome.encode()).hexdigest()}  fail-{name}")
+            lines.append(f"{hashlib.sha256(outcome.encode()).hexdigest()}  fail-{name}")
+    return lines
+
+
+def _relative(base: str, change: str) -> str:
+    """|change - base| / |base| of two printed values, "-" for "-"."""
+    if base == "-" or change == "-":
+        return "-"
+    old, new = float(base), float(change)
+    return "0" if new == old else f"{abs(new - old) / abs(old):.2g}"
+
+
+def _compare(base: list[str], change: list[str]) -> list[str]:
+    """The --against report: relative changes of every values line, then
+    the digests that moved from `base` to `change`."""
+    old = {name: left for left, name in (line.split("  ", 1) for line in base)}
+    report, moved, digests = [], [], 0
+    for line in change:
+        left, name = line.split("  ", 1)
+        if name.startswith("values-"):
+            pairs = zip(old[name].split(), left.split())
+            report.append(f"{' '.join(_relative(a, b) for a, b in pairs)}  {name}")
+        else:
+            digests += 1
+            if old.get(name) != left:
+                moved.append(f"moved  {name}")
+    return [*report, *moved, f"{len(moved)} of {digests} digests moved"]
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=os.path.join(os.path.dirname(HERE), "src"))
+    ap.add_argument("--against", metavar="BASE",
+                    help="a second source tree's src/ to compare the outputs with")
+    args = ap.parse_args()
+    lines = _outputs(os.path.abspath(args.src))
+    if args.against is not None:
+        lines = _compare(_outputs(os.path.abspath(args.against)), lines)
+    print("\n".join(lines))
+
 
 if __name__ == "__main__":
     main()
