@@ -4,18 +4,24 @@ A GramMatrix is a kernel over training points; its n x n values are formed
 on each read and never kept.  The kernel problem is the same optimization
 with the two n x n Grams standing in for the views and dual matrices
 (W_X, W_Y) standing in for (U, V).  fit_kernel forms the statistics
-Kx Kx / n, Ky Ky / n and Kx Ky / n, drops the Grams and runs the solver's
-loop (solver.fit_moments) on them.
+Kx Kx / n, Ky Ky / n and Kx Ky / n and runs the solver's loop
+(solver.fit_moments) on them.  No Gram outlives its last read: a Gram that
+factors is dropped as soon as its factor exists, one that does not once the
+cross statistic and its own square are formed.  A fit's traced peak is then
+2.3-2.7 n x n when only the x Gram factors, 3 when only the y Gram does
+(the dense Kx waits for the y factor), 4 when neither does and 1.3 for two
+factoring linear Grams; a Gaussian Gram takes 2 n x n while it is formed.
 Each statistic is kept at its own rounding level as the plain product of
 two n x r factors (solver.LowRank, 2 n r values read per product instead of
 n^2, with no middle term) while its rank r stays below n/2, and dense
 otherwise: a symmetric statistic as F F^T with sqrt(s / n) folded into F,
 the cross statistic as the two factors of its own truncated SVD, formed
-from the Gram factor of the view of smaller rank.  No n x n
-eigendecomposition runs, and a fit in which no statistic factors is the
-dense one bit for bit.  Factored statistics differ from the dense ones at
-rounding level, so trajectories stay deterministic for a seed and BLAS
-thread count but move around the 7th significant digit of the objective.
+from the Gram factor of the view of smaller rank and the other Gram, or its
+factor when both Grams factor.  No n x n eigendecomposition runs, and a fit
+in which no statistic factors is the dense one bit for bit.  Factored
+statistics differ from the dense ones at rounding level, so trajectories
+stay deterministic for a seed and BLAS thread count but move around the 7th
+significant digit of the objective.
 Grams are not centered in feature space; input views are centered in input
 space before they get here.  project_kernel forms each test-by-training
 cross-Gram in row blocks of a fixed byte size, so no t x n array is held
@@ -159,9 +165,10 @@ def fit_kernel(
     hp: Hyperparams,
     on_iteration=None,
 ) -> KernelModel:
-    """Form both Grams and the dual problem's statistics from them, drop the
-    Grams and run the full-batch iteration on the statistics.  Refuses n < 2,
-    a set hp.batch_size (kernel fits are full-batch), k > n and n > 20000."""
+    """Form the dual problem's statistics from both Grams (_statistics), each
+    Gram held only until its last read, and run the full-batch iteration on
+    the statistics.  Refuses n < 2, a set hp.batch_size (kernel fits are
+    full-batch), k > n and n > 20000."""
     n = ds.n
     if n < 2:
         raise DegenerateInput(f"kernel fit needs at least 2 samples, got {n}")
@@ -171,14 +178,8 @@ def fit_kernel(
         raise RankBudgetTooLarge(f"k={hp.k} exceeds the sample count n={n}")
     start = time.perf_counter()
     gx, gy = GramMatrix(kind_x, ds.x), GramMatrix(kind_y, ds.y)
-    # Kx is factored before Ky is formed, so fewer n x n arrays live together
-    kx = gx.values
-    fx = _gram_factor(kx)
-    ky = gy.values
-    fy = _gram_factor(ky)
     with np.errstate(over="ignore", invalid="ignore"):
-        stats = _statistics(kx, fx, ky, fy)
-    del kx, fx, ky, fy  # the loop holds the statistics alone
+        stats = _statistics(gx, gy)
     report = fit_moments(stats.require_finite(), hp, on_iteration, start=start)
     return KernelModel(
         w_x=report.pair.u,
@@ -226,45 +227,82 @@ def _gram_factor(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return low @ q[:, keep], s[keep]
 
 
-def _statistics(kx, fx, ky, fy) -> SecondMoments:
-    """Cxx = Kx Kx / n, Cyy = Ky Ky / n and Cxy = Kx Ky / n.  A view whose
-    Gram factors as (B, s) has Cxx = F F^T for F = B diag(s / n)^(1/2) over
-    the columns whose Cxx eigenvalue s^2 / n is above n eps times the
-    largest.  The Gram of smaller rank gives Cxy through _cross_factor, at
-    its own rounding level.  Any other statistic is formed as second_moments
-    forms it, then kept as its pivoted-Cholesky L L^T."""
-    n = kx.shape[0]
-
-    def moment(k, f):
-        if f is None:
-            c = k.T @ k
-            c /= n
-            low = _pivoted_cholesky(c)
-            return c if low is None else LowRank(low, low)
-        b, s = f
-        keep = s * s > n * _EPS * s.max(initial=0.0) ** 2
-        root = b[:, keep] * np.sqrt(s[keep] / n)
-        return LowRank(root, root)
-
-    # Cxy last: its temporaries then do not add to the dense Cyy's peak
-    cxx, cyy = moment(kx, fx), moment(ky, fy)
+def _statistics(gx: GramMatrix, gy: GramMatrix) -> SecondMoments:
+    """Cxx = Kx Kx / n, Cyy = Ky Ky / n and Cxy = Kx Ky / n, with each Gram
+    formed once and held only until its last read.  A view whose Gram
+    factors as (B, s) drops the Gram as soon as it has Cxx = F F^T for
+    F = B diag(s / n)^(1/2) over the columns whose Cxx eigenvalue s^2 / n is
+    above n eps times the largest.  The Gram factor of smaller rank gives
+    Cxy through _cross_factor, at its own rounding level, with the other
+    Gram K_o times B read as B_o (B_o^T B) when that Gram factored too.  A
+    Gram that does not factor lives until Cxy has read it and K K / n is
+    formed, then K K / n is kept as its pivoted-Cholesky L L^T, or dense."""
+    n = gx.train_points.n
+    kx = gx.values
+    fx = _gram_factor(kx)
+    # a factored view's statistic is formed before the next Gram: formed
+    # last, it left the heap untrimmed after the fit, and the benchmark's
+    # kernel pass peaked 1.2 MiB higher in RSS
+    if fx is not None:
+        kx, cxx = None, _gram_moment(fx, n)
+    ky = gy.values
+    fy = _gram_factor(ky)
+    if fy is not None:
+        ky, cyy = None, _gram_moment(fy, n)
     if fx is None and fy is None:
         cxy = kx.T @ ky
         cxy /= n
     elif fy is None or (fx is not None and fx[1].size <= fy[1].size):
-        cxy = _cross_factor(fx, ky @ fx[0], n)
+        cxy = _cross_factor(fx, _gram_times(ky, fy, fx[0]), n)
     else:
-        cxy = _cross_factor(fy, kx @ fy[0], n).T
+        cxy = _cross_factor(fy, _gram_times(kx, fx, fy[0]), n).T
+    # a dense Gram is dropped before the statistic it gives is factored
+    if fx is None:
+        cxx = _square(kx, n)
+        kx = None
+        cxx = _low_rank(cxx)
+    if fy is None:
+        cyy = _square(ky, n)
+        ky = None
+        cyy = _low_rank(cyy)
     return SecondMoments(cxx=cxx, cyy=cyy, cxy=cxy, n=n)
+
+
+def _gram_times(k: np.ndarray | None, f, b: np.ndarray) -> np.ndarray:
+    """K B for a view's Gram: B_o (B_o^T B) from its factor f = (B_o, s_o)
+    when it has one, else the dense K."""
+    return k @ b if f is None else f[0] @ (f[0].T @ b)
+
+
+def _square(k: np.ndarray, n: int) -> np.ndarray:
+    """K K / n for a symmetric Gram K, formed as second_moments forms it."""
+    c = k.T @ k
+    c /= n
+    return c
+
+
+def _low_rank(c: np.ndarray) -> LowRank | np.ndarray:
+    """c as its pivoted-Cholesky L L^T, or c itself when L does not pay."""
+    low = _pivoted_cholesky(c)
+    return c if low is None else LowRank(low, low)
+
+
+def _gram_moment(f, n: int) -> LowRank:
+    """K K / n = F F^T for a Gram factor f = (B, s), F = B diag(s / n)^(1/2)
+    over the s whose s^2 / n is above n eps times the largest."""
+    b, s = f
+    keep = s * s > n * _EPS * s.max(initial=0.0) ** 2
+    root = b[:, keep] * np.sqrt(s[keep] / n)
+    return LowRank(root, root)
 
 
 def _cross_factor(f, m: np.ndarray, n: int) -> LowRank:
     """B M^T / n for a Gram factor f = (B, s) and M = K B, with K the other
-    view's Gram, at its own rounding level.  B diag(s)^(-1/2) and
-    diag(s)^(1/2) are B's QR factors, since B^T B = diag(s); with M = Qm Rm,
-    the SVD P diag(sigma) Q^T of the r x r core diag(s)^(1/2) Rm^T / n keeps
-    the sigma above n eps max(sigma), so the factors are
-    B diag(s)^(-1/2) P sigma^(1/2) and Qm Q sigma^(1/2)."""
+    view's Gram or its factor's B_o B_o^T, at its own rounding level.
+    B diag(s)^(-1/2) and diag(s)^(1/2) are B's QR factors, since
+    B^T B = diag(s); with M = Qm Rm, the SVD P diag(sigma) Q^T of the r x r
+    core diag(s)^(1/2) Rm^T / n keeps the sigma above n eps max(sigma), so
+    the factors are B diag(s)^(-1/2) P sigma^(1/2) and Qm Q sigma^(1/2)."""
     b, s = f
     root_s = np.sqrt(s)
     qm, rm = np.linalg.qr(m)

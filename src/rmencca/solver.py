@@ -230,14 +230,15 @@ class IterationContext:
     image_y = Y Z are the images it is applied to, for Z = [X^T U  Y^T V], so
     that it applies X S^-1 X^T and Y S^-1 Y^T on span(Z); all three are None
     when lambda2 = 0.  p and q are the row weights of U and V, the diagonals
-    of the half-quadratic P and Q (all ones in Frobenius penalty mode).
+    of the half-quadratic P and Q (all ones in Frobenius penalty mode); both
+    are None when lambda1 = 0, since only the lambda1 term reads them.
     """
 
     s_inv: SInverseOperator | None
     image_x: np.ndarray | None
     image_y: np.ndarray | None
-    p: np.ndarray
-    q: np.ndarray
+    p: np.ndarray | None
+    q: np.ndarray | None
 
 
 def second_moments(x: np.ndarray, y: np.ndarray) -> SecondMoments:
@@ -290,7 +291,8 @@ def build_context(pm: PairMoments, hp: Hyperparams) -> IterationContext:
     With Z = [X^T U  Y^T V], the S-inverse is factored from the eigh of the
     Gram Z^T Z (pm.spectrum) into one 2k x 2k core, applied to the images
     X Z = n [Cxx U, Cxy V] and Y Z = n [Cyx U, Cyy V].  The row weights come
-    from pm.row_sq, which the objective at the same pair has already formed.
+    from pm.row_sq, which the objective at the same pair has already formed;
+    none are formed when lambda1 = 0.
     """
     s_inv = image_x = image_y = None
     if hp.lambda2 != 0.0:
@@ -300,7 +302,9 @@ def build_context(pm: PairMoments, hp: Hyperparams) -> IterationContext:
         image_y = np.concatenate((pm.cyx_u, pm.cyy_v), axis=1)
         image_y *= pm.n
     u, v = pm.pair.u, pm.pair.v
-    if hp.penalty is Penalty.L21:
+    if hp.lambda1 == 0.0:
+        p = q = None
+    elif hp.penalty is Penalty.L21:
         su, sv = pm.row_sq
         p = hq_diagonal(u, hp.zeta, su)
         q = hq_diagonal(v, hp.zeta, sv)
@@ -337,8 +341,9 @@ def objective(pm: PairMoments, hp: Hyperparams) -> float:
 
 
 def grad_u(
-    m_tilde: np.ndarray, cov_mt: np.ndarray, cross: np.ndarray, weights: np.ndarray,
-    s_inv: SInverseOperator | None, image: np.ndarray | None, hp: Hyperparams,
+    m_tilde: np.ndarray, cov_mt: np.ndarray, cross: np.ndarray,
+    weights: np.ndarray | None, s_inv: SInverseOperator | None,
+    image: np.ndarray | None, hp: Hyperparams,
 ) -> np.ndarray:
     """The gradient of one view's surrogate at its unnormalized iterate; for U
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,6 +189,12 @@ def _factoring_case(case):
         train, val = _sinusoid(400, seed=6)
         hp = r.Hyperparams(k=1, eta=0.003, gamma=0.99, max_iters=600, tol=0.0, seed=3)
         return (train, val, *_SINUSOID_SPECS, hp, (True, False))
+    if case == "only y factors":
+        # the first case with its views and widths swapped: the dense Kx is
+        # read by the cross statistic, which comes from the y Gram's factor
+        train, val = (r.TwoViewDataset(x=d.y, y=d.x) for d in _sinusoid(400, seed=6))
+        hp = r.Hyperparams(k=1, eta=0.003, gamma=0.99, max_iters=600, tol=0.0, seed=3)
+        return (train, val, *_SINUSOID_SPECS[::-1], hp, (False, True))
     if case == "every statistic factors":
         # the y Gram does not factor, its statistic Ky Ky / n does
         train, val = _sinusoid(800, seed=6)
@@ -216,9 +223,11 @@ def _loop_statistics(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize(
-    "case", ["one view factors", "both views factor", "neither view factors",
-             "every statistic factors"])
+_FACTORING_CASES = ("one view factors", "only y factors", "both views factor",
+                    "neither view factors", "every statistic factors")
+
+
+@pytest.mark.parametrize("case", _FACTORING_CASES)
 def test_factored_statistics_match_the_dense_loop(monkeypatch, case):
     """fit_kernel against the same loop run on the dense statistics
     second_moments(Kx, Ky): each factored statistic F G^T within 2 n eps of
@@ -227,8 +236,8 @@ def test_factored_statistics_match_the_dense_loop(monkeypatch, case):
     statistics within 1e-8 * k, the same seed reproducing the fit bit for
     bit, and a fit in which no statistic factors identical to the dense
     loop.  On the sinusoid data the cross statistic, kept at its own
-    rounding level, has fewer columns than the x Gram's factor it comes
-    from.
+    rounding level, has fewer columns than the factor of the width-0.7 Gram
+    it comes from.
 
     The factors' bound is 2 n eps, not n eps: each statistic drops the
     directions below n eps times its largest eigenvalue or singular value,
@@ -248,8 +257,9 @@ def test_factored_statistics_match_the_dense_loop(monkeypatch, case):
         if isinstance(got, LowRank):
             err = np.linalg.norm(got.left @ got.right.T - want)
             assert err <= 2.0 * n * eps * np.linalg.norm(want)
-    if sx == _SINUSOID_SPECS[0]:
-        assert seen[0].cxy.left.shape[1] < kernel._gram_factor(kx)[0].shape[1]
+    if _SINUSOID_SPECS[0] in (sx, sy):
+        wide = kx if sx == _SINUSOID_SPECS[0] else ky
+        assert seen[0].cxy.left.shape[1] < kernel._gram_factor(wide)[0].shape[1]
     ref = fit_moments(dense, hp)
 
     again = r.fit_kernel(train, sx, sy, hp)
@@ -350,21 +360,28 @@ def test_factored_view_holds_no_n_by_n_statistic(monkeypatch):
             assert part.shape[0] == n and 4 * part.shape[1] <= n
 
 
-def test_fit_kernel_peak_memory_with_one_factored_view():
+@pytest.mark.parametrize("case, bound", [
+    ("one view factors", 3.0), ("only y factors", 3.5), ("both views factor", 1.6),
+    ("neither view factors", 4.5), ("every statistic factors", 2.6)])
+def test_fit_kernel_peak_memory_per_route(case, bound):
     """fit_kernel's peak of traced numpy memory, in units of one n x n array,
-    stays below 4.5 when one view factors.  Forming dense statistics from
-    both Grams peaked at 5.13; factoring Kx before Ky is built peaks near
-    4.1, while Ky is being built next to Kx and its factor."""
-    train, _ = _sinusoid(400, seed=6)
-    hp = r.Hyperparams(k=1, max_iters=5, tol=0.0, seed=0)
+    when no Gram outlives its last read.  A Gaussian Gram takes two while
+    it is formed.  When only x factors, Kx is dropped before Ky is formed and
+    Ky once Cxy and Ky Ky / n exist: 2.7 at n = 400, 2.3 at n = 800 (the
+    benchmark's size), where every statistic factors.  When only y factors,
+    Kx waits for the y factor, and Ky is formed beside it: 3.0.  When neither
+    does, Kx, Ky, Cxy and Cxx live together: 4.0.  Two factoring linear
+    Grams never live together: 1.3.  Holding both Grams until the
+    statistics exist peaked at 4.05-4.13, 5.02 and 2.36."""
+    train, _, sx, sy, hp, _ = _factoring_case(case)
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        r.fit_kernel(train, *_SINUSOID_SPECS, hp)
+        r.fit_kernel(train, sx, sy, replace(hp, max_iters=5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (8.0 * train.n * train.n) < 4.5
+    assert peak / (8.0 * train.n * train.n) < bound
 
 
 def test_kernel_model_and_loop_hold_no_gram():

@@ -505,6 +505,24 @@ def test_loop_reaches_each_phase_by_name(monkeypatch):
     assert counts == {name: 3 * calls for name, calls in per_iteration.items()}
 
 
+@pytest.mark.parametrize("penalty", list(r.Penalty))
+@pytest.mark.parametrize("lambda2", [0.0, 0.001])
+def test_fit_without_lambda1_forms_no_row_weights(monkeypatch, penalty, lambda2):
+    """With lambda1 = 0 (appgrad, or a lambda2-only fit) only the lambda1
+    term would read the half-quadratic row weights, so no context forms
+    them: p and q are None and hq_diagonal is never called, where forming
+    them took two calls per iteration."""
+    counts = _counting_phases(monkeypatch, ["hq_diagonal"])
+    ds, _ = planted(200, 7, 6, (0.8, 0.5), 0.2, seed=9)
+    ds = centered(ds)
+    hp = r.Hyperparams(k=2, lambda1=0.0, lambda2=lambda2, penalty=penalty,
+                       max_iters=3, tol=0.0, seed=1)
+    pair = r.fit_full(ds, hp).pair
+    ctx = build_context(pair_moments(solver.dataset_moments(ds), pair), hp)
+    assert ctx.p is None and ctx.q is None
+    assert counts == {"hq_diagonal": 0}
+
+
 def _kernel_fits(hp):
     """(dataset, kernel, hp) for two kernel fits on one planted problem: with
     a Gaussian kernel every statistic stays dense, with the linear kernel
