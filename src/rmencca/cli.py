@@ -372,9 +372,15 @@ def _evaluate(row: dict, model: ModelFile, val_ds: TwoViewDataset) -> dict:
     return row
 
 
-def _run_train_like(cfg: RunConfig) -> dict:
-    ds = _load_views(cfg)
-    train_raw, val_raw = split_train_validation(ds, cfg.val_fraction, cfg.split_seed)
+def _centered_split(cfg: RunConfig) -> tuple[TwoViewDataset, TwoViewDataset]:
+    """The loaded views split for training and validation, the training
+    split centered on its own means and the validation split on the
+    training means.  The loaded views are only split_train_validation's
+    argument, freed when it returns, and the raw split is freed when this
+    returns, so the peak is two copies of the data: the loaded views and the
+    split, then the split and its centered copy."""
+    train_raw, val_raw = split_train_validation(_load_views(cfg), cfg.val_fraction,
+                                                cfg.split_seed)
     train_x = center(train_raw.x)
     train_y = center(train_raw.y)
     train_ds = TwoViewDataset(x=train_x, y=train_y)
@@ -382,6 +388,15 @@ def _run_train_like(cfg: RunConfig) -> dict:
         x=center_with_means(val_raw.x, train_x.feature_means),
         y=center_with_means(val_raw.y, train_y.feature_means),
     )
+    return train_ds, val_ds
+
+
+def _run_train_like(cfg: RunConfig) -> dict:
+    """Fit each variant on the centered training split and evaluate it on
+    the validation split, holding the data at most twice (see
+    _centered_split): train and compare peak at about 2x the loaded
+    values' bytes, plus what the fits allocate."""
+    train_ds, val_ds = _centered_split(cfg)
     rows = []
     for variant in cfg.variants:
         row, model = _fit_variant(variant, train_ds, cfg)

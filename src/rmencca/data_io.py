@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 import struct
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,12 @@ MODEL_VERSION = 1
 
 _KIND_LINEAR = 0
 _KIND_KERNEL = 1
+
+# synth_two_view draws and adds its noise in blocks of feature rows of at
+# most this many bytes, and save_dsv formats blocks of rows holding at most
+# this many bytes of values (a row more than that is one block)
+_NOISE_BLOCK_BYTES = 1 << 20
+_SAVE_BLOCK_BYTES = 1 << 16
 
 
 # ----------------------------------------------------------- synthetic data
@@ -112,8 +119,10 @@ def synth_two_view(spec: SyntheticSpec):
     the dataset and the noise-free population optimum (pair, correlations)
     as baselines.CCASolution.
 
-    Factor buffers are reused in place, so peak memory stays O(n * d) even
-    at millions of samples.
+    Factor buffers are reused in place and the noise is added a block of
+    feature rows at a time, so the peak is the two views and one mixing
+    product of the wider view: 1 + max(d1, d2) / (d1 + d2) times the views'
+    bytes (about 1.6 for d1 = 50, d2 = 40), the noise blocks aside.
     """
     rng = np.random.default_rng(spec.seed)
     n, d1, d2, k = spec.n, spec.d1, spec.d2, spec.k_true
@@ -133,12 +142,8 @@ def synth_two_view(spec: SyntheticSpec):
     y = _mixed(b, fy)
     del fy
     if spec.noise_scale > 0:
-        noise = rng.standard_normal(x.shape)
-        noise *= spec.noise_scale
-        x += noise
-        noise = rng.standard_normal(y.shape)
-        noise *= spec.noise_scale
-        y += noise
+        _add_noise(rng, x, spec.noise_scale)
+        _add_noise(rng, y, spec.noise_scale)
 
     u_true = np.linalg.inv(a).T[:, :k]
     v_true = np.linalg.inv(b).T[:, :k]
@@ -148,6 +153,19 @@ def synth_two_view(spec: SyntheticSpec):
         correlations=spec.correlations,
     )
     return ds, truth
+
+
+def _add_noise(rng: np.random.Generator, view: np.ndarray, scale: float) -> None:
+    """view += scale * rng.standard_normal(view.shape), drawn and added a
+    block of feature rows at a time.  The draws come from the stream in the
+    same order as one whole draw, so the numbers do not depend on the
+    block size."""
+    d, n = view.shape
+    rows = max(1, _NOISE_BLOCK_BYTES // (8 * n))
+    for start in range(0, d, rows):
+        noise = rng.standard_normal((min(rows, d - start), n))
+        noise *= scale
+        view[start:start + rows] += noise
 
 
 def split_train_validation(
@@ -213,7 +231,12 @@ def _lines_float_agrees_on(fh, delimiter: str):
 
 
 def _load_dsv_lines(path: str, delimiter: str = ",") -> ViewMatrix:
-    rows: list[list[float]] = []
+    """The line parser: blank lines are skipped, and a ragged row, a field
+    float() refuses or text that is not UTF-8 raises with its line number.
+    The values go straight into one array('d') that the view reads in
+    place, so the peak is the table's float64 bytes and the array's growth
+    slack (at most about 1.07x), not a Python float per value."""
+    values = array("d")
     width = -1
     with open(path, encoding="utf-8") as fh:
         try:
@@ -229,30 +252,29 @@ def _load_dsv_lines(path: str, delimiter: str = ",") -> ViewMatrix:
                         f"{path}: line {lineno} has {len(fields)} fields, expected {width}"
                     )
                 try:
-                    rows.append([float(tok) for tok in fields])
+                    values.extend(map(float, fields))
                 except ValueError as exc:
                     raise NonNumericField(f"{path}: line {lineno}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise NonNumericField(f"{path}: not UTF-8 text: {exc}") from None
-    if not rows:
+    if not values:
         raise EmptyInput(f"{path}: no data rows")
-    return ViewMatrix.of(np.asarray(rows, dtype=np.float64).T)
-
-
-# rows formatted by one "%" operation in save_dsv: enough to keep the
-# formatting in C, few enough that one block's text stays small
-_SAVE_BLOCK_ROWS = 1024
+    return ViewMatrix.of(np.frombuffer(values, dtype=np.float64).reshape(-1, width).T)
 
 
 def save_dsv(view: ViewMatrix, path: str, delimiter: str = ",") -> None:
     """Write samples as rows at 17 significant digits (lossless for
-    float64)."""
+    float64).  Each "%" operation formats a block of rows holding at most
+    _SAVE_BLOCK_BYTES of values (one row, if a row holds more), so the text
+    and Python floats in flight stay a fixed size, not a multiple of the
+    view."""
     data = view.data.T
     # the delimiter is literal text in the template, so a '%' is doubled
     row = delimiter.replace("%", "%%").join(["%.17g"] * data.shape[1]) + "\n"
+    rows = max(1, _SAVE_BLOCK_BYTES // (8 * data.shape[1]))
     with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, data.shape[0], _SAVE_BLOCK_ROWS):
-            block = data[start:start + _SAVE_BLOCK_ROWS]
+        for start in range(0, data.shape[0], rows):
+            block = data[start:start + rows]
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 

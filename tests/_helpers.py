@@ -1,4 +1,7 @@
-"""Shared test fixtures: planted datasets and train/validation centering."""
+"""Shared test fixtures: planted datasets, train/validation centering,
+reference operators and a traced-memory probe."""
+import tracemalloc
+
 import numpy as np
 
 import rmencca as r
@@ -77,3 +80,15 @@ def dense_s_inverse(proj_x, proj_y, zeta):
     z = np.concatenate([proj_x, proj_y], axis=1)
     w, e = np.linalg.eigh(z @ z.T + zeta * np.eye(z.shape[0]))
     return (e / np.sqrt(w)) @ e.T
+
+
+def traced_peak(call):
+    """call()'s result, and the peak bytes of traced memory allocated while
+    it runs."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

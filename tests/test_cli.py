@@ -8,6 +8,8 @@ import rmencca as r
 from rmencca import errors
 from rmencca.cli import FLAGS, main, parse_config
 
+from _helpers import traced_peak
+
 
 def _synth_files(tmp_path, n=400, corr="0.9,0.6", noise="0.2", seed="1"):
     x_path = str(tmp_path / "x.csv")
@@ -616,3 +618,47 @@ def test_cli_defaults_come_from_the_dataclasses(tmp_path):
     assert (cfg.delimiter, cfg.format, cfg.val_fraction) == (",", "json", 0.2)
     assert cfg.variants == ("rmen",)
     assert cfg.split_seed == cfg.hp.seed
+
+
+# the memory gates' problem: 6000 rows of 50 + 40 features
+_GATE_SYNTH = ["--n", "6000", "--d1", "50", "--d2", "40", "--correlations", "0.9,0.5",
+               "--noise", "0.3", "--seed", "3"]
+_GATE_BYTES = 8.0 * 6000 * (50 + 40)
+
+
+@pytest.fixture(scope="module")
+def gate_files(tmp_path_factory):
+    """The gates' problem as DSV files, and a linear model trained on it."""
+    d = tmp_path_factory.mktemp("gate")
+    files = {name: str(d / name) for name in ("x.csv", "y.csv", "model.bin", "report.json")}
+    assert main(["synth", *_GATE_SYNTH, "--x-out", files["x.csv"],
+                 "--y-out", files["y.csv"], "--out", files["report.json"]]) == 0
+    assert main(["train", "--x", files["x.csv"], "--y", files["y.csv"], "--k", "2",
+                 "--iters", "5", "--model-out", files["model.bin"],
+                 "--out", files["report.json"]]) == 0
+    return files
+
+
+@pytest.mark.parametrize("command, bound", [
+    ("synth", 1.8), ("train", 2.3), ("compare", 2.3), ("eval", 2.3)])
+def test_command_peak_memory(gate_files, tmp_path, command, bound):
+    """Each command's peak of traced memory, in units of its problem's
+    float64 bytes.  train and compare hold the loaded views and the raw
+    split, then the raw split and its centered copy: 2.04; holding all
+    three to the end peaked at 3.05.  synth holds the two views and one
+    mixing product of the wider view, 1 + 50 / 90, and adds its noise and
+    formats its rows in fixed-size blocks: 1.58; a whole-view noise draw
+    beside the other view's peaked at 2.02.  eval holds the loaded and the
+    centered views: 2.13, a guard against a rise."""
+    x, y = gate_files["x.csv"], gate_files["y.csv"]
+    fit = ["--x", x, "--y", y, "--k", "2", "--iters", "5"]
+    argv = {
+        "synth": ["synth", *_GATE_SYNTH, "--x-out", str(tmp_path / "x.csv"),
+                  "--y-out", str(tmp_path / "y.csv")],
+        "train": ["train", *fit, "--model-out", str(tmp_path / "model.bin")],
+        "compare": ["compare", *fit, "--variants", "rmen,men,appgrad,closed-form"],
+        "eval": ["eval", "--x", x, "--y", y, "--model", gate_files["model.bin"]],
+    }[command]
+    code, peak = traced_peak(lambda: main(argv + ["--out", str(tmp_path / "report.json")]))
+    assert code == 0
+    assert peak / _GATE_BYTES < bound

@@ -29,7 +29,7 @@ from rmencca.errors import (
     VersionMismatch,
 )
 
-from _helpers import centered, planted
+from _helpers import centered, planted, traced_peak
 
 
 # ------------------------------------------------------------ synthetic data
@@ -77,6 +77,15 @@ def test_synth_numbers_are_pinned(spec, digest):
     ds, _ = r.synth_two_view(spec)
     got = hashlib.sha256(ds.x.data.tobytes() + ds.y.data.tobytes()).hexdigest()
     assert got == digest
+
+
+def test_synth_numbers_keep_their_digests_at_one_feature_row_per_noise_block(monkeypatch):
+    """The noise is drawn a block of feature rows at a time from one stream,
+    so a noise block of one feature row gives the pinned numbers too."""
+    monkeypatch.setattr(data_io, "_NOISE_BLOCK_BYTES", 1)
+    (pinned,) = test_synth_numbers_are_pinned.pytestmark
+    for spec, digest in pinned.args[1]:
+        test_synth_numbers_are_pinned(spec, digest)
 
 
 def test_synth_perfect_correlation_is_observable():
@@ -307,8 +316,10 @@ def test_load_dsv_refuses_text_that_is_not_utf8(tmp_path):
             "273a10be676ad247fb1af194ce16a4a079685eb1f236c9dd1fc5587e43cb0536")),
 ])
 def test_synth_files_are_pinned(tmp_path, delimiter, digests):
-    """The bytes synth writes are pinned, for 2100 rows: two full blocks of
-    save_dsv's row formatting and a partial one."""
+    """The bytes synth writes are pinned, for 2100 rows: five full blocks of
+    save_dsv's row formatting and a partial one for x's 20 features, four
+    and a partial one for y's 16.  The digests were taken with blocks of
+    1024 rows."""
     x_path, y_path = tmp_path / "x.txt", tmp_path / "y.txt"
     assert main(["synth", "--n", "2100", "--d1", "20", "--d2", "16",
                  "--correlations", "0.9,0.5", "--noise", "0.3", "--seed", "3",
@@ -333,6 +344,38 @@ def test_save_dsv_writes_every_value_at_17_digits(tmp_path, n):
         want = "".join(delimiter.join("%.17g" % v for v in row) + "\n" for row in data.T)
         assert p.read_bytes() == want.encode("utf-8")
         assert r.load_dsv(str(p), delimiter).data.tobytes() == view.data.tobytes()
+
+
+@pytest.mark.parametrize("budget", [1, 3 * 6 * 8, 3 * 6 * 8 + 47])
+def test_save_dsv_block_boundaries_keep_the_bytes(tmp_path, monkeypatch, budget):
+    """A write block below one row's bytes (one row a block) and of three
+    rows, over 1025 rows of 6 values that end in a partial block, writes the
+    per-value join and loads back bit for bit."""
+    monkeypatch.setattr(data_io, "_SAVE_BLOCK_BYTES", budget)
+    test_save_dsv_writes_every_value_at_17_digits(tmp_path, 1025)
+
+
+def test_save_dsv_formats_a_fixed_size_block(tmp_path):
+    """save_dsv of 60 samples of 20000 features (9.6 MB of values) peaks at
+    0.13 of them: one row, as its Python floats and text, in flight.
+    Blocks of 1024 rows formatted the whole view at once: 7.6."""
+    view = r.ViewMatrix.of(np.random.default_rng(5).standard_normal((20000, 60)))
+    _, peak = traced_peak(lambda: r.save_dsv(view, str(tmp_path / "wide.csv")))
+    assert peak / view.data.nbytes < 0.25
+
+
+@pytest.mark.parametrize("parse", [r.load_dsv, data_io._load_dsv_lines],
+                         ids=["numpy", "lines"])
+def test_dsv_parsers_hold_about_one_table(tmp_path, parse):
+    """Either parser's peak, in units of the table's float64 bytes, on 6000
+    rows of 50 values: numpy's reader 1.23, the line parser 1.03 (its
+    array('d') and growth slack).  A list of Python floats per row, then
+    the array, peaked at 5.28."""
+    table = np.random.default_rng(6).standard_normal((50, 6000))
+    path = str(tmp_path / "table.csv")
+    r.save_dsv(r.ViewMatrix.of(table), path)
+    _, peak = traced_peak(lambda: parse(path, ","))
+    assert peak / table.nbytes < 1.5
 
 
 @settings(max_examples=200, deadline=None)
