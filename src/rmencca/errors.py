@@ -53,9 +53,9 @@ class AllZeroInput(RmenccaError, exit_code=17):
 
 
 class NonFiniteIterate(RmenccaError, exit_code=18):
-    """A result overflowed or became NaN/inf: an update or a diverging objective
-    (try a smaller eta), or a statistic of inputs too large for double
-    precision (feature means, covariances, correlations)."""
+    """A result overflowed or became NaN/inf: a step whose whitening Gram
+    overflows or a diverging objective (try a smaller eta), or a statistic
+    of inputs too large for doubles (feature means, covariances, correlations)."""
 
 
 class RankDeficientBasis(RmenccaError, exit_code=20):

@@ -104,12 +104,9 @@ class LowRank:
     both.
 
     It supports what the iteration asks of a statistic: `@` with a block on
-    either side, `.T`, `.shape` and `.trace()`.  A product with a d2 x k
+    its right, `.T`, `.shape` and `.trace()`.  A product with a d2 x k
     block reads (d1 + d2) r values instead of d1 d2, in two matmuls.
     """
-
-    # ndarray @ LowRank defers to __rmatmul__ instead of densifying
-    __array_ufunc__ = None
 
     def __init__(self, left: np.ndarray, right: np.ndarray) -> None:
         self.left, self.right = left, right
@@ -125,9 +122,6 @@ class LowRank:
 
     def __matmul__(self, m: np.ndarray) -> np.ndarray:
         return self.left @ (self.right.T @ m)
-
-    def __rmatmul__(self, m: np.ndarray) -> np.ndarray:
-        return (m @ self.left) @ self.right.T
 
     def trace(self) -> float:
         """The sum of the diagonal, formed on the first call."""
@@ -413,9 +407,10 @@ def whitening_factor(
 
 
 def normalize(m_tilde: np.ndarray, cov: np.ndarray, zeta: float) -> np.ndarray:
-    """Whiten m_tilde so the result W satisfies W^T cov W = I."""
+    """Whiten m_tilde to W with W^T cov W = I by _whiten: one product with
+    cov, or two when its bound asks for them."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return m_tilde @ whitening_factor(m_tilde, cov @ m_tilde, zeta)[0]
+        return _whiten(m_tilde, cov, zeta)[0]
 
 
 def _whiten(
@@ -457,7 +452,7 @@ def whitening_residual(m: np.ndarray, cov: np.ndarray | LowRank) -> float:
         raise DimensionMismatch(
             f"cov shape {cov.shape} does not match projection rows {m.shape}"
         )
-    gram = m.T @ cov @ m
+    gram = m.T @ (cov @ m)
     return float(np.linalg.norm(gram - np.eye(m.shape[1])))
 
 
@@ -512,8 +507,8 @@ def fit_moments(
     against `full` at the end.  `start` is the perf_counter reading the
     report's wall time counts from (default: now).  The iteration runs with
     numpy's overflow, invalid and divide warnings off, since it checks every
-    result that can go non-finite itself; `on_iteration` runs under the
-    caller's settings.
+    result that can go non-finite itself (the whitening's Gram check refuses
+    a non-finite step); `on_iteration` runs under the caller's settings.
     """
     start = time.perf_counter() if start is None else start
     d1, d2, k = full.cxx.shape[0], full.cyy.shape[0], hp.k
@@ -544,16 +539,12 @@ def fit_moments(
 
             gu = grad_u(ut, cxx_ut, pm.cxy_v, ctx.p, ctx.s_inv, ctx.image_x, hp)
             ut, du = momentum_step(ut, du, gu, hp)
-            if not np.isfinite(ut).all():
-                raise NonFiniteIterate("U update produced non-finite values; reduce eta")
             u, cxx_ut, cxx_u = _whiten(ut, stats.cxx, zw)
             cyx_u = stats.cxy.T @ u
 
             # V's step sees the freshly whitened U through Cyx U
             gv = grad_v(vt, cyy_vt, cyx_u, ctx.q, ctx.s_inv, ctx.image_y, hp)
             vt, dv = momentum_step(vt, dv, gv, hp)
-            if not np.isfinite(vt).all():
-                raise NonFiniteIterate("V update produced non-finite values; reduce eta")
             v, cyy_vt, cyy_v = _whiten(vt, stats.cyy, zw)
             cxy_v = stats.cxy @ v
             pair = CanonicalPair(u=u, v=v)

@@ -65,6 +65,14 @@ def test_singular_covariance_needs_a_ridge():
     ds = centered(r.TwoViewDataset(x=r.ViewMatrix.of(x), y=r.ViewMatrix.of(y)))
     sol = r.cca_closed_form(ds, k=2)
     assert all(np.isfinite(c) for c in sol.correlations)
+    # one zero-variance feature and k = d1: the ridged direction cannot be
+    # re-whitened, so it is returned as it is, finite, with correlation 0
+    x = rng.standard_normal((3, 200))
+    x[1] = 0.0
+    ds = centered(r.TwoViewDataset(x=r.ViewMatrix.of(x),
+                                   y=r.ViewMatrix.of(rng.standard_normal((3, 200)))))
+    sol = r.cca_closed_form(ds, k=3)
+    assert np.isfinite(sol.pair.u).all() and sol.correlations[-1] == 0.0
 
 
 def test_rank_budget_bounds():

@@ -386,22 +386,27 @@ def test_mnist_input_path(tmp_path):
 
 
 def test_output_path_naming_a_directory_is_refused_first(tmp_path, capsys):
-    """An output flag naming an existing directory is a configuration error
-    raised before any input is read: exit 2, not the 3 of the missing --x."""
+    """An output flag naming an existing directory, or a file in a directory
+    that does not exist, is a configuration error raised before any input
+    is read: exit 2, not the 3 of the missing --x."""
     missing = str(tmp_path / "missing.csv")
     inputs = ["--x", missing, "--y", missing]
-    for argv, flag in (
-        (["train", *inputs, "--out", str(tmp_path)], "--out"),
-        (["train", *inputs, "--model-out", str(tmp_path)], "--model-out"),
-        (["compare", *inputs, "--variants", "rmen", "--out", str(tmp_path)], "--out"),
-        (["eval", *inputs, "--model", missing, "--out", str(tmp_path)], "--out"),
+    for argv, prefix in (
+        (["train", *inputs, "--out", str(tmp_path)], "--out names a directory"),
+        (["train", *inputs, "--model-out", str(tmp_path)], "--model-out names a directory"),
+        (["compare", *inputs, "--variants", "rmen", "--out", str(tmp_path)],
+         "--out names a directory"),
+        (["eval", *inputs, "--model", missing, "--out", str(tmp_path)],
+         "--out names a directory"),
         (["synth", "--correlations", "0.9", "--x-out", str(tmp_path),
-          "--y-out", str(tmp_path / "y.csv")], "--x-out"),
+          "--y-out", str(tmp_path / "y.csv")], "--x-out names a directory"),
+        (["train", *inputs, "--out", str(tmp_path / "absent" / "r.json")],
+         "output directory does not exist"),
     ):
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: " + flag + " ")
+        assert len(err) == 1 and err[0].startswith("error: " + prefix + ": ")
     assert not (tmp_path / "y.csv").exists()
 
 
@@ -420,8 +425,11 @@ def test_mnist_with_dsv_inputs_is_a_config_error(tmp_path, capsys, command, extr
     assert len(err) == 1 and err[0].startswith("error: --mnist ")
 
 
-def test_distinct_exit_codes(tmp_path):
+def test_distinct_exit_codes(tmp_path, capsys):
     x_path, y_path = _synth_files(tmp_path, n=100)
+    capsys.readouterr()
+    assert main(["train", "--y", y_path]) == 2
+    assert capsys.readouterr().err == "error: missing required input: --x\n"
 
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("1,2\n3\n")
@@ -457,6 +465,10 @@ def test_distinct_exit_codes(tmp_path):
     assert main(["train", "--x", x_path, "--y", y_path, "--k", "0"]) == 2
     assert main(["train", "--x", x_path, "--y", y_path, "--eta", "nan"]) == 2
     assert main(["train", "--x", x_path, "--y", y_path, "--k", "99"]) == 13
+    # refused before the inputs are read: a read of the ragged file exits 4
+    capsys.readouterr()
+    assert main(["train", "--x", str(ragged), "--y", y_path, "--val-fraction", "1.5"]) == 2
+    assert capsys.readouterr().err == "error: --val-fraction must lie in (0, 1), got 1.5\n"
 
     # a model of 6 and 5 features evaluated on views of 4 and 5 features
     narrow = tmp_path / "narrow.csv"
@@ -522,6 +534,22 @@ _INPUT_FAULTS = {
     "train-center-overflow": (["train", "--x", "xspread.csv", "--y", "y.csv"], 18,
                               _CENTER_OVERFLOW),
 }
+
+
+def test_diverging_fit_exits_nonfinite(tmp_path, monkeypatch, capsys):
+    """A kernel fit whose step lets the objective climb past ten times its
+    first value exits 18, named as a growing objective, on
+    tools/output_digests.py's synth files."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--n", "600", "--d1", "8", "--d2", "6", "--correlations", "0.9,0.6",
+                 "--noise", "0.3", "--seed", "3", "--x-out", "x.csv", "--y-out", "y.csv",
+                 "--out", "synth.json"]) == 0
+    capsys.readouterr()
+    assert main(["train", "--x", "x.csv", "--y", "y.csv", "--k", "2", "--iters", "150",
+                 "--tol", "0", "--seed", "4", "--variant", "kernel-rmen", "--kernel", "linear",
+                 "--eta", "0.002"]) == 18
+    out = capsys.readouterr()
+    assert "objective grew" in out.err and out.out == ""
 
 
 @pytest.mark.parametrize("case", list(_INPUT_FAULTS))

@@ -738,6 +738,10 @@ def test_model_file_corruption_detection(tmp_path):
     # first matrix header starts right after magic, version, kind, and the
     # fixed-width hyperparameter block
     shape_at = 8 + 4 + 1 + struct.calcsize("<IdddddIdqqB")
+    cut_header = tmp_path / "cut_header.rmen"
+    cut_header.write_bytes(raw[:shape_at + 8])
+    with pytest.raises(CorruptFile, match="unexpected end of file"):
+        r.load_model(str(cut_header))
     implausible = tmp_path / "implausible.rmen"
     implausible.write_bytes(
         raw[:shape_at] + struct.pack("<QQ", 1 << 41, 1) + raw[shape_at + 16:])

@@ -110,6 +110,8 @@ def test_constraint_residual_zero_pair():
     rx, ry = r.constraint_residual(pair, ds)
     assert rx == pytest.approx(np.sqrt(3.0))
     assert ry == pytest.approx(np.sqrt(3.0))
+    with pytest.raises(DimensionMismatch):
+        r.constraint_residual(r.CanonicalPair(u=np.zeros((6, 3)), v=pair.v), ds)
 
 
 # ---------------------------------------------------------- principal angles
@@ -155,3 +157,5 @@ def test_principal_angles_rejects_rank_deficient_basis():
         r.principal_angles(a, np.eye(5)[:, :2])
     with pytest.raises(DimensionMismatch):
         r.principal_angles(np.eye(5)[:, :2], np.eye(6)[:, :2])
+    with pytest.raises(DimensionMismatch):
+        r.principal_angles(np.zeros((5, 0)), np.eye(5)[:, :2])

@@ -361,12 +361,20 @@ def test_fit_full_is_deterministic():
 def test_oversized_step_raises_nonfinite():
     ds, _ = planted(100, 5, 4, (0.7,), 0.2, seed=11)
     ds = centered(ds)
-    # one enormous step overflows the projected Gram immediately; a merely
-    # huge step overflows the accumulated momentum a few hundred iterations in
-    with pytest.raises(NonFiniteIterate):
+    # one enormous step overflows the projected Gram immediately, which the
+    # whitening refuses; a merely huge step overflows the accumulated
+    # momentum a few hundred iterations in
+    with pytest.raises(NonFiniteIterate, match="projected Gram overflowed"):
         r.fit_full(ds, r.Hyperparams(k=1, eta=1e300, max_iters=50, seed=0))
     with pytest.raises(NonFiniteIterate):
         r.fit_full(ds, r.Hyperparams(k=2, eta=1e155, max_iters=300, seed=0))
+    # a step merely too large for the problem, without momentum, lets the
+    # objective climb past ten times its first value before anything
+    # overflows (tools/output_digests.py's synth problem, centered whole)
+    ds, _ = planted(600, 8, 6, (0.9, 0.6), 0.3, seed=3)
+    hp = r.Hyperparams(k=2, lambda1=1.0, eta=0.5, gamma=0.0, max_iters=150, tol=0.0, seed=4)
+    with pytest.raises(NonFiniteIterate, match="objective grew from 4.490e\\+00 "):
+        r.fit_full(centered(ds), hp)
 
 
 def test_overflowing_covariance_raises_nonfinite():
@@ -437,10 +445,6 @@ def _counting_statistics(monkeypatch):
         def __matmul__(self, m):
             count[0] += 1
             return super().__matmul__(m)
-
-        def __rmatmul__(self, m):
-            count[0] += 1
-            return super().__rmatmul__(m)
 
         @property
         def T(self):
